@@ -61,10 +61,8 @@ Result<uint64_t> ParseUint(std::string_view token) {
 
 // Zero-allocation tokenizer for row lines: appends the [begin, end)
 // views of each whitespace-separated token of `line` into *spans
-// (cleared first). Row parsing is the server's streaming hot path — a
-// LOADU32 session processes millions of these — so tokens must not
-// materialize strings; only the interning arm (which needs map keys)
-// converts, and only the raw-id arm stays fully allocation-free.
+// (cleared first), so tokens materialize strings only where the
+// interning arm needs map keys.
 void SplitSpans(std::string_view line, std::vector<std::string_view>* spans) {
   spans->clear();
   const char* data = line.data();
@@ -119,21 +117,8 @@ std::string WriteCollection(const std::vector<Bag>& bags,
   return out;
 }
 
-namespace {
-
-// The three value-token encodings a bag block can carry. All share the
-// header grammar and the row framing ("v1 ... vk : mult"); they differ
-// only in how a value token becomes a row id.
-enum class RowMode {
-  kNumeric,  // integer tokens through the legacy codec
-  kIntern,   // arbitrary tokens interned into a DictionarySet
-  kRawIds,   // raw u32 ids validated against an already-shipped set
-};
-
-Result<Bag> ParseBagImpl(const std::vector<std::string>& lines, size_t* pos,
-                         AttributeCatalog* catalog, RowMode mode,
-                         DictionarySet* intern_dicts,
-                         const DictionarySet* raw_dicts) {
+Result<Bag> ParseBag(const std::vector<std::string>& lines, size_t* pos,
+                     AttributeCatalog* catalog, DictionarySet* dicts) {
   // Skip blank/comment lines.
   while (*pos < lines.size() && StripComment(lines[*pos]).empty()) ++(*pos);
   if (*pos >= lines.size()) {
@@ -153,19 +138,6 @@ Result<Bag> ParseBagImpl(const std::vector<std::string>& lines, size_t* pos,
   if (schema.arity() != header.size() - 1) {
     return Status::InvalidArgument("duplicate attribute in bag header");
   }
-  // The raw-id arm validates ids against the dictionaries the session
-  // already shipped; resolve each column's dictionary once, up front.
-  std::vector<const ValueDictionary*> column_dict(attrs.size(), nullptr);
-  if (mode == RowMode::kRawIds) {
-    for (size_t i = 0; i < attrs.size(); ++i) {
-      column_dict[i] = raw_dicts->find_dict(attrs[i]);
-      if (column_dict[i] == nullptr) {
-        return Status::FailedPrecondition(
-            "u32 rows require a dictionary for attribute '" + header[i + 1] +
-            "'; ship its DICT block first");
-      }
-    }
-  }
   // The sorted schema layout may permute the header order: remember where
   // each header column lands.
   std::vector<size_t> slot_of_column(attrs.size());
@@ -175,9 +147,9 @@ Result<Bag> ParseBagImpl(const std::vector<std::string>& lines, size_t* pos,
   BagBuilder builder(schema);
   // Tuples already carrying a nonzero multiplicity; a repeat is an error.
   TupleIndex seen;
-  // Row lines are the streaming hot path: tokens are scanned as views
-  // into the line (SplitSpans), so the numeric and raw-id arms parse a
-  // whole row without one allocation beyond the tuple itself.
+  // Tokens are scanned as views into the line (SplitSpans), so the
+  // numeric arm parses a whole row without one allocation beyond the
+  // tuple itself.
   std::vector<std::string_view> tokens;
   while (true) {
     if (*pos >= lines.size()) {
@@ -193,37 +165,18 @@ Result<Bag> ParseBagImpl(const std::vector<std::string>& lines, size_t* pos,
       return Status::InvalidArgument("bad tuple line: '" + std::string(line) + "'");
     }
     std::vector<ValueId> row(attrs.size());
-    switch (mode) {
-      case RowMode::kIntern:
-        // Dictionary mode: any word is a value; intern it per attribute.
-        for (size_t i = 0; i < attrs.size(); ++i) {
-          BAGC_ASSIGN_OR_RETURN(row[slot_of_column[i]],
-                                intern_dicts->Intern(attrs[i],
-                                                     std::string(tokens[i])));
-        }
-        break;
-      case RowMode::kNumeric:
-        // Legacy numeric mode: the historical integer format.
-        for (size_t i = 0; i < attrs.size(); ++i) {
-          BAGC_ASSIGN_OR_RETURN(int64_t v, ParseInt(tokens[i]));
-          row[slot_of_column[i]] = EncodeValue(v);
-        }
-        break;
-      case RowMode::kRawIds:
-        // Streaming mode: tokens ARE the ids; no interning, no string
-        // hashing — just a bounds check against the shipped dictionary.
-        for (size_t i = 0; i < attrs.size(); ++i) {
-          BAGC_ASSIGN_OR_RETURN(uint64_t raw, ParseUint(tokens[i]));
-          if (raw >= column_dict[i]->size()) {
-            return Status::OutOfRange(
-                "row id " + std::string(tokens[i]) +
-                " was never issued for attribute '" + header[i + 1] +
-                "' (dictionary has " +
-                std::to_string(column_dict[i]->size()) + " values)");
-          }
-          row[slot_of_column[i]] = static_cast<ValueId>(raw);
-        }
-        break;
+    if (dicts != nullptr) {
+      // Dictionary mode: any word is a value; intern it per attribute.
+      for (size_t i = 0; i < attrs.size(); ++i) {
+        BAGC_ASSIGN_OR_RETURN(row[slot_of_column[i]],
+                              dicts->Intern(attrs[i], std::string(tokens[i])));
+      }
+    } else {
+      // Legacy numeric mode: the historical integer format.
+      for (size_t i = 0; i < attrs.size(); ++i) {
+        BAGC_ASSIGN_OR_RETURN(int64_t v, ParseInt(tokens[i]));
+        row[slot_of_column[i]] = EncodeValue(v);
+      }
     }
     BAGC_ASSIGN_OR_RETURN(uint64_t mult, ParseUint(tokens.back()));
     Tuple t = Tuple::OfIds(std::move(row));
@@ -236,20 +189,6 @@ Result<Bag> ParseBagImpl(const std::vector<std::string>& lines, size_t* pos,
     }
   }
   return builder.Build();
-}
-
-}  // namespace
-
-Result<Bag> ParseBag(const std::vector<std::string>& lines, size_t* pos,
-                     AttributeCatalog* catalog, DictionarySet* dicts) {
-  return ParseBagImpl(lines, pos, catalog,
-                      dicts == nullptr ? RowMode::kNumeric : RowMode::kIntern,
-                      dicts, nullptr);
-}
-
-Result<Bag> ParseBagU32(const std::vector<std::string>& lines, size_t* pos,
-                        AttributeCatalog* catalog, const DictionarySet& dicts) {
-  return ParseBagImpl(lines, pos, catalog, RowMode::kRawIds, nullptr, &dicts);
 }
 
 Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
@@ -271,8 +210,8 @@ Result<Bag> BagFromU32Columns(const std::vector<std::string>& attr_names,
   if (schema.arity() != attrs.size()) {
     return Status::InvalidArgument("duplicate attribute in bag header");
   }
-  // Same validation order as the text arm: every column's dictionary
-  // resolved up front, ids bounds-checked per row.
+  // Every column's dictionary resolved up front, ids bounds-checked per
+  // row.
   std::vector<const ValueDictionary*> column_dict(attrs.size(), nullptr);
   for (size_t c = 0; c < attrs.size(); ++c) {
     column_dict[c] = dicts.find_dict(attrs[c]);

@@ -37,8 +37,7 @@ Status WriteAll(int fd, const std::string& data) {
 // be silently truncated or split server-side — the one corruption the
 // receiver cannot detect (the framing still parses). Refuse to send it.
 Status ValidateWireValue(const std::string& value) {
-  if (value.empty() ||
-      value.find_first_of("# \t\r\n") != std::string::npos) {
+  if (!WireRepresentable(value)) {
     return Status::InvalidArgument(
         "value '" + value +
         "' is not representable on the wire (empty, or contains '#' or "
@@ -55,6 +54,32 @@ Status ExpectOk(const std::vector<std::string>& response) {
   }
   return Status::Internal("server said: " +
                           (response.empty() ? "<nothing>" : response.front()));
+}
+
+// "OK CONSISTENT" or "OK INCONSISTENT <index...>" as (consistent,
+// indices).
+Result<std::pair<bool, std::vector<size_t>>> DecodeVerdict(
+    const std::vector<std::string>& response) {
+  BAGC_RETURN_NOT_OK(ExpectOk(response));
+  std::vector<std::string> tokens = WireTokens(response.front());
+  bool consistent = tokens.size() == 2 && tokens[1] == "CONSISTENT";
+  if (!consistent && (tokens.size() < 2 || tokens[1] != "INCONSISTENT")) {
+    return Status::Internal("bad verdict response: '" + response.front() + "'");
+  }
+  std::vector<size_t> indices;
+  for (size_t t = 2; t < tokens.size(); ++t) {
+    BAGC_ASSIGN_OR_RETURN(uint64_t index, WireParseUint(tokens[t]));
+    indices.push_back(static_cast<size_t>(index));
+  }
+  return std::make_pair(consistent, std::move(indices));
+}
+
+WireRequest Request(WireVerb verb, size_t i = 0, size_t j = 0) {
+  WireRequest request;
+  request.verb = verb;
+  request.bag_i.index = i;
+  request.bag_j.index = j;
+  return request;
 }
 
 }  // namespace
@@ -134,13 +159,6 @@ Result<std::string> BagcdClient::ReadLine() {
   }
 }
 
-Status BagcdClient::SendFrame(uint8_t opcode, std::string_view payload) {
-  std::string frame;
-  frame.reserve(kWireFrameHeaderBytes + payload.size());
-  WireAppendFrame(&frame, opcode, payload);
-  return WriteAll(fd_, frame);
-}
-
 Result<std::pair<uint8_t, std::string>> BagcdClient::ReadFrame() {
   while (true) {
     if (inbuf_.size() >= kWireFrameHeaderBytes) {
@@ -172,8 +190,8 @@ Result<std::pair<uint8_t, std::string>> BagcdClient::ReadFrame() {
   }
 }
 
-Result<std::vector<std::string>> BagcdClient::FrameToLines(
-    uint8_t opcode, const std::string& payload) {
+Result<std::vector<std::string>> FrameToLines(uint8_t opcode,
+                                              const std::string& payload) {
   // Mirrors the server's TextSink rendering exactly, so a script driven
   // through the binary framing yields byte-identical response lines.
   WireCursor cur(payload);
@@ -186,8 +204,7 @@ Result<std::vector<std::string>> BagcdClient::FrameToLines(
       uint8_t tag = 0;
       if (!cur.U8(&tag)) return Status::Internal("malformed Err frame");
       BAGC_ASSIGN_OR_RETURN(WireError error, WireErrorFromTag(tag));
-      lines.push_back(WireErrLine(
-          error, payload.substr(1)));
+      lines.push_back(WireErrLine(error, payload.substr(1)));
       return lines;
     }
     case kFrameVerdict: {
@@ -267,6 +284,28 @@ Result<std::vector<std::string>> BagcdClient::FrameToLines(
   }
 }
 
+Result<std::vector<std::string>> BagcdClient::ReadResponse() {
+  if (binary_) {
+    BAGC_ASSIGN_OR_RETURN(auto frame, ReadFrame());
+    // CMD TEXT's Ok frame is the last frame on the wire: the connection
+    // is line-oriented again from the next byte.
+    if (frame.first == kFrameOk && frame.second == "TEXT") binary_ = false;
+    return FrameToLines(frame.first, frame.second);
+  }
+  std::vector<std::string> response;
+  BAGC_ASSIGN_OR_RETURN(std::string line, ReadLine());
+  bool body = WireResponseHasBody(line);
+  response.push_back(std::move(line));
+  while (body) {
+    BAGC_ASSIGN_OR_RETURN(line, ReadLine());
+    body = line != kWireEnd;
+    response.push_back(std::move(line));
+  }
+  // The upgrade's OK is the last text line: frames follow.
+  if (response.front() == "OK UPGRADE BINARY") binary_ = true;
+  return response;
+}
+
 Result<std::vector<std::string>> BagcdClient::Command(
     const std::string& command, const std::vector<std::string>& body) {
   std::vector<std::string> tokens = WireTokens(command);
@@ -274,47 +313,44 @@ Result<std::vector<std::string>> BagcdClient::Command(
   if (!has_body && !body.empty()) {
     return Status::InvalidArgument("command '" + command + "' takes no body");
   }
+  std::string request;
   if (binary_) {
     if (has_body) {
       return Status::InvalidArgument(
           "command '" + command +
           "' carries a body; ship a DICT/ROWS frame in binary mode");
     }
-    BAGC_RETURN_NOT_OK(SendFrame(kFrameCmd, command));
-    auto frame_result = ReadFrame();
-    BAGC_RETURN_NOT_OK(frame_result.status());
-    auto& [opcode, payload] = *frame_result;
-    // CMD TEXT's Ok frame is the last frame on the wire: the connection
-    // is line-oriented again from the next byte.
-    if (opcode == kFrameOk && payload == "TEXT") binary_ = false;
-    return FrameToLines(opcode, payload);
-  }
-  std::string request = command + "\n";
-  if (has_body) {
-    for (const std::string& line : body) request += line + "\n";
-    request += std::string(kWireEnd) + "\n";
-  }
-  BAGC_RETURN_NOT_OK(WriteAll(fd_, request));
-  std::vector<std::string> response;
-  BAGC_ASSIGN_OR_RETURN(std::string first, ReadLine());
-  response.push_back(first);
-  if (WireResponseHasBody(first)) {
-    while (true) {
-      BAGC_ASSIGN_OR_RETURN(std::string line, ReadLine());
-      bool end = line == kWireEnd;
-      response.push_back(std::move(line));
-      if (end) break;
+    WireAppendFrame(&request, kFrameCmd, command);
+  } else {
+    request = command + "\n";
+    if (has_body) {
+      for (const std::string& line : body) request += line + "\n";
+      request += std::string(kWireEnd) + "\n";
     }
   }
-  // A successful text-mode UPGRADE flips this client to frames too.
-  if (command == "UPGRADE BINARY" && first == "OK UPGRADE BINARY") {
-    binary_ = true;
+  BAGC_RETURN_NOT_OK(WriteAll(fd_, request));
+  return ReadResponse();
+}
+
+Result<std::vector<std::string>> BagcdClient::Call(const WireRequest& request) {
+  std::string bytes;
+  if (binary_) {
+    BAGC_ASSIGN_OR_RETURN(bytes, EncodeFrameRequest(request));
+  } else {
+    bytes = EncodeTextRequest(request);
   }
-  return response;
+  BAGC_RETURN_NOT_OK(WriteAll(fd_, bytes));
+  return ReadResponse();
+}
+
+Status BagcdClient::CallOk(const WireRequest& request) {
+  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Call(request));
+  return ExpectOk(response);
 }
 
 Result<std::pair<int, int>> BagcdClient::Hello() {
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command("HELLO"));
+  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response,
+                        Call(Request(WireVerb::kHello)));
   BAGC_RETURN_NOT_OK(ExpectOk(response));
   std::vector<std::string> tokens = WireTokens(response.front());
   if (tokens.size() != 6 || tokens[1] != "HELLO" || tokens[2] != "proto" ||
@@ -328,55 +364,12 @@ Result<std::pair<int, int>> BagcdClient::Hello() {
 
 Status BagcdClient::UpgradeBinary() {
   if (binary_) return Status::OK();
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response,
-                        Command("UPGRADE BINARY"));
-  return ExpectOk(response);  // Command() flipped binary_ on the OK
+  return CallOk(Request(WireVerb::kUpgrade));  // ReadResponse flips binary_
 }
 
 Status BagcdClient::DowngradeText() {
   if (!binary_) return Status::OK();
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command("TEXT"));
-  return ExpectOk(response);  // Command() flipped binary_ on the OK
-}
-
-Result<std::string> BagcdClient::RoundTripOk(uint8_t opcode,
-                                             std::string_view payload) {
-  BAGC_RETURN_NOT_OK(SendFrame(opcode, payload));
-  auto frame_result = ReadFrame();
-  BAGC_RETURN_NOT_OK(frame_result.status());
-  auto& [got_opcode, got_payload] = *frame_result;
-  if (got_opcode == kFrameOk) return std::move(got_payload);
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                        FrameToLines(got_opcode, got_payload));
-  return Status::Internal("server said: " + lines.front());
-}
-
-Result<std::pair<bool, std::vector<size_t>>> BagcdClient::RoundTripVerdict(
-    uint8_t opcode, std::string_view payload) {
-  BAGC_RETURN_NOT_OK(SendFrame(opcode, payload));
-  auto frame_result = ReadFrame();
-  BAGC_RETURN_NOT_OK(frame_result.status());
-  auto& [got_opcode, got_payload] = *frame_result;
-  if (got_opcode != kFrameVerdict) {
-    BAGC_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                          FrameToLines(got_opcode, got_payload));
-    return Status::Internal("server said: " + lines.front());
-  }
-  WireCursor cur(got_payload);
-  uint8_t consistent = 0;
-  uint32_t n = 0;
-  if (!cur.U8(&consistent) || !cur.U32(&n)) {
-    return Status::Internal("malformed Verdict frame");
-  }
-  std::vector<size_t> indices;
-  indices.reserve(n);
-  for (uint32_t t = 0; t < n; ++t) {
-    uint32_t index = 0;
-    if (!cur.U32(&index)) return Status::Internal("malformed Verdict frame");
-    indices.push_back(index);
-  }
-  if (!cur.AtEnd()) return Status::Internal("malformed Verdict frame");
-  return std::make_pair(consistent == 1, std::move(indices));
+  return CallOk(Request(WireVerb::kText));  // ReadResponse flips binary_
 }
 
 Status BagcdClient::ShipDictionaries(const DictionarySet& dicts,
@@ -391,22 +384,11 @@ Status BagcdClient::ShipDictionaries(const DictionarySet& dicts,
     for (const std::string& value : dict->externals()) {
       BAGC_RETURN_NOT_OK(ValidateWireValue(value));
     }
-    if (binary_) {
-      std::string payload;
-      WireAppendString(&payload, catalog.Name(attr));
-      WireAppendU32(&payload, static_cast<uint32_t>(dict->size()));
-      for (const std::string& value : dict->externals()) {
-        WireAppendString(&payload, value);
-      }
-      BAGC_RETURN_NOT_OK(RoundTripOk(kFrameDict, payload).status());
-    } else {
-      BAGC_ASSIGN_OR_RETURN(
-          std::vector<std::string> response,
-          Command("DICT " + catalog.Name(attr) + " " +
-                      std::to_string(dict->size()),
-                  dict->externals()));
-      BAGC_RETURN_NOT_OK(ExpectOk(response));
-    }
+    WireRequest request;
+    request.verb = WireVerb::kDict;
+    request.name = catalog.Name(attr);
+    request.values = dict->externals();
+    BAGC_RETURN_NOT_OK(CallOk(request));
     shipped_.push_back(attr);
   }
   return Status::OK();
@@ -414,55 +396,31 @@ Status BagcdClient::ShipDictionaries(const DictionarySet& dicts,
 
 Status BagcdClient::LoadBagU32(const std::string& name, const Bag& bag,
                                const AttributeCatalog& catalog) {
-  if (binary_) {
-    const Schema& schema = bag.schema();
-    std::string payload;
-    // Header + fixed-width row block; sized up front so row streaming is
-    // one append per integer into preallocated storage.
-    payload.reserve(64 + bag.SupportSize() * (schema.arity() * 4 + 8));
-    WireAppendString(&payload, name);
-    WireAppendU32(&payload, static_cast<uint32_t>(schema.arity()));
-    for (AttrId attr : schema.attrs()) {
-      WireAppendString(&payload, catalog.Name(attr));
-    }
-    WireAppendU64(&payload, bag.SupportSize());
-    for (size_t e = 0; e < bag.SupportSize(); ++e) {
-      for (size_t i = 0; i < schema.arity(); ++i) {
-        WireAppendU32(&payload, bag.IdAt(e, i));
-      }
-      WireAppendU64(&payload, bag.MultiplicityAt(e));
-    }
-    return RoundTripOk(kFrameRows, payload).status();
-  }
-  std::string header = "LOADU32 " + name;
-  for (AttrId attr : bag.schema().attrs()) header += " " + catalog.Name(attr);
-  std::vector<std::string> rows;
-  rows.reserve(bag.SupportSize());
+  const Schema& schema = bag.schema();
+  WireRequest request;
+  request.verb = WireVerb::kLoadU32;
+  request.name = name;
+  WireRowBlock& rows = request.rows;
+  for (AttrId attr : schema.attrs()) rows.attrs.push_back(catalog.Name(attr));
+  rows.ids.reserve(bag.SupportSize() * schema.arity());
+  rows.counts.reserve(bag.SupportSize());
   for (size_t e = 0; e < bag.SupportSize(); ++e) {
-    std::string row;
-    for (size_t i = 0; i < bag.schema().arity(); ++i) {
-      row += std::to_string(bag.IdAt(e, i)) + " ";
-    }
-    row += ": " + std::to_string(bag.MultiplicityAt(e));
-    rows.push_back(std::move(row));
+    for (size_t i = 0; i < schema.arity(); ++i) rows.ids.push_back(bag.IdAt(e, i));
+    rows.counts.push_back(bag.MultiplicityAt(e));
   }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command(header, rows));
-  return ExpectOk(response);
+  return CallOk(request);
 }
 
 Status BagcdClient::LoadBagText(const std::string& name, const Bag& bag,
                                 const AttributeCatalog& catalog,
                                 const DictionarySet& dicts) {
-  if (binary_) {
-    // The binary framing has no string-row frame (it exists to avoid
-    // exactly that decode/re-intern cycle); the raw-id path is LoadBagU32.
-    return Status::FailedPrecondition(
-        "LOAD blocks require text mode; use LoadBagU32 in binary mode");
-  }
-  std::string header = "LOAD " + name;
+  WireRequest request;
+  request.verb = WireVerb::kLoad;
+  request.name = name;
+  std::string header = "bag";
   for (AttrId attr : bag.schema().attrs()) header += " " + catalog.Name(attr);
-  std::vector<std::string> rows;
-  rows.reserve(bag.SupportSize());
+  request.block.reserve(bag.SupportSize() + 2);
+  request.block.push_back(std::move(header));
   for (size_t e = 0; e < bag.SupportSize(); ++e) {
     BAGC_ASSIGN_OR_RETURN(std::vector<std::string> tokens,
                           dicts.DecodeRow(bag.schema(), bag.RowAt(e)));
@@ -472,20 +430,22 @@ Status BagcdClient::LoadBagText(const std::string& name, const Bag& bag,
       row += token + " ";
     }
     row += ": " + std::to_string(bag.MultiplicityAt(e));
-    rows.push_back(std::move(row));
+    request.block.push_back(std::move(row));
   }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command(header, rows));
-  return ExpectOk(response);
+  request.block.emplace_back("end");
+  return CallOk(request);
 }
 
 Result<size_t> BagcdClient::Seal(bool canonical, size_t threads) {
-  std::string command = "SEAL";
-  if (canonical) command += " CANONICAL";
-  if (threads > 1) command += " THREADS " + std::to_string(threads);
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command(command));
+  WireRequest request;
+  request.verb = WireVerb::kSeal;
+  request.canonical = canonical;
+  request.threads = threads > 1 ? threads : 1;
+  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Call(request));
   BAGC_RETURN_NOT_OK(ExpectOk(response));
+  // "OK SEAL <m> bags", plus " <r> reused" after an incremental seal.
   std::vector<std::string> tokens = WireTokens(response.front());
-  if (tokens.size() != 4 || tokens[1] != "SEAL") {
+  if ((tokens.size() != 4 && tokens.size() != 6) || tokens[1] != "SEAL") {
     return Status::Internal("bad SEAL response: '" + response.front() + "'");
   }
   BAGC_ASSIGN_OR_RETURN(uint64_t bags, WireParseUint(tokens[2]));
@@ -493,109 +453,45 @@ Result<size_t> BagcdClient::Seal(bool canonical, size_t threads) {
 }
 
 Result<bool> BagcdClient::TwoBag(size_t i, size_t j) {
-  if (binary_) {
-    std::string payload;
-    WireAppendU32(&payload, static_cast<uint32_t>(i));
-    WireAppendU32(&payload, static_cast<uint32_t>(j));
-    BAGC_ASSIGN_OR_RETURN(auto verdict, RoundTripVerdict(kFrameTwoBag, payload));
-    return verdict.first;
-  }
-  BAGC_ASSIGN_OR_RETURN(
-      std::vector<std::string> response,
-      Command("TWOBAG " + std::to_string(i) + " " + std::to_string(j)));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  return response.front() == "OK CONSISTENT";
+  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response,
+                        Call(Request(WireVerb::kTwoBag, i, j)));
+  BAGC_ASSIGN_OR_RETURN(auto verdict, DecodeVerdict(response));
+  return verdict.first;
 }
 
 Result<std::optional<std::pair<size_t, size_t>>> BagcdClient::Pairwise() {
-  if (binary_) {
-    BAGC_ASSIGN_OR_RETURN(auto verdict, RoundTripVerdict(kFramePairwise, {}));
-    if (verdict.first) return std::optional<std::pair<size_t, size_t>>();
-    if (verdict.second.size() != 2) {
-      return Status::Internal("bad PAIRWISE verdict frame");
-    }
-    return std::optional<std::pair<size_t, size_t>>(
-        std::make_pair(verdict.second[0], verdict.second[1]));
+  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response,
+                        Call(Request(WireVerb::kPairwise)));
+  BAGC_ASSIGN_OR_RETURN(auto verdict, DecodeVerdict(response));
+  if (verdict.first) return std::optional<std::pair<size_t, size_t>>();
+  if (verdict.second.size() != 2) {
+    return Status::Internal("bad PAIRWISE response: '" + response.front() + "'");
   }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command("PAIRWISE"));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  std::vector<std::string> tokens = WireTokens(response.front());
-  if (tokens.size() == 2 && tokens[1] == "CONSISTENT") {
-    return std::optional<std::pair<size_t, size_t>>();
-  }
-  if (tokens.size() == 4 && tokens[1] == "INCONSISTENT") {
-    BAGC_ASSIGN_OR_RETURN(uint64_t i, WireParseUint(tokens[2]));
-    BAGC_ASSIGN_OR_RETURN(uint64_t j, WireParseUint(tokens[3]));
-    return std::optional<std::pair<size_t, size_t>>(
-        std::make_pair(static_cast<size_t>(i), static_cast<size_t>(j)));
-  }
-  return Status::Internal("bad PAIRWISE response: '" + response.front() + "'");
+  return std::optional<std::pair<size_t, size_t>>(
+      std::make_pair(verdict.second[0], verdict.second[1]));
 }
 
 Result<bool> BagcdClient::Global() {
-  if (binary_) {
-    BAGC_ASSIGN_OR_RETURN(auto verdict, RoundTripVerdict(kFrameGlobal, {}));
-    return verdict.first;
-  }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command("GLOBAL"));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  return response.front() == "OK CONSISTENT";
+  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response,
+                        Call(Request(WireVerb::kGlobal)));
+  BAGC_ASSIGN_OR_RETURN(auto verdict, DecodeVerdict(response));
+  return verdict.first;
 }
 
 Result<std::optional<std::vector<size_t>>> BagcdClient::KWise(size_t k) {
-  if (binary_) {
-    std::string payload;
-    WireAppendU32(&payload, static_cast<uint32_t>(k));
-    BAGC_ASSIGN_OR_RETURN(auto verdict, RoundTripVerdict(kFrameKWise, payload));
-    if (verdict.first) return std::optional<std::vector<size_t>>();
-    return std::optional<std::vector<size_t>>(std::move(verdict.second));
-  }
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response,
-                        Command("KWISE " + std::to_string(k)));
-  BAGC_RETURN_NOT_OK(ExpectOk(response));
-  std::vector<std::string> tokens = WireTokens(response.front());
-  if (tokens.size() == 2 && tokens[1] == "CONSISTENT") {
-    return std::optional<std::vector<size_t>>();
-  }
-  if (tokens.size() >= 3 && tokens[1] == "INCONSISTENT") {
-    std::vector<size_t> subset;
-    for (size_t t = 2; t < tokens.size(); ++t) {
-      BAGC_ASSIGN_OR_RETURN(uint64_t index, WireParseUint(tokens[t]));
-      subset.push_back(static_cast<size_t>(index));
-    }
-    return std::optional<std::vector<size_t>>(std::move(subset));
-  }
-  return Status::Internal("bad KWISE response: '" + response.front() + "'");
+  WireRequest request = Request(WireVerb::kKWise);
+  request.k = k;
+  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Call(request));
+  BAGC_ASSIGN_OR_RETURN(auto verdict, DecodeVerdict(response));
+  if (verdict.first) return std::optional<std::vector<size_t>>();
+  return std::optional<std::vector<size_t>>(std::move(verdict.second));
 }
 
 Result<std::optional<std::vector<std::string>>> BagcdClient::Witness(
     size_t i, size_t j, bool minimal) {
-  if (binary_) {
-    std::string payload;
-    WireAppendU32(&payload, static_cast<uint32_t>(i));
-    WireAppendU32(&payload, static_cast<uint32_t>(j));
-    payload.push_back(minimal ? '\1' : '\0');
-    BAGC_RETURN_NOT_OK(SendFrame(kFrameWitness, payload));
-    auto frame_result = ReadFrame();
-    BAGC_RETURN_NOT_OK(frame_result.status());
-    auto& [opcode, frame_payload] = *frame_result;
-    BAGC_ASSIGN_OR_RETURN(std::vector<std::string> lines,
-                          FrameToLines(opcode, frame_payload));
-    if (opcode != kFrameWitnessBag) {
-      return Status::Internal("server said: " + lines.front());
-    }
-    if (lines.front() == "OK NONE") {
-      return std::optional<std::vector<std::string>>();
-    }
-    // FrameToLines renders the text framing exactly: OK line, bag block
-    // lines, END. Strip the envelope, as the text arm below does.
-    return std::optional<std::vector<std::string>>(
-        std::vector<std::string>(lines.begin() + 1, lines.end() - 1));
-  }
-  std::string command =
-      "WITNESS " + std::to_string(i) + " " + std::to_string(j);
-  if (minimal) command += " MINIMAL";
-  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Command(command));
+  WireRequest request = Request(WireVerb::kWitness, i, j);
+  request.minimal = minimal;
+  BAGC_ASSIGN_OR_RETURN(std::vector<std::string> response, Call(request));
   BAGC_RETURN_NOT_OK(ExpectOk(response));
   if (response.front() == "OK NONE") {
     return std::optional<std::vector<std::string>>();
@@ -604,6 +500,7 @@ Result<std::optional<std::vector<std::string>>> BagcdClient::Witness(
       response.back() != kWireEnd) {
     return Status::Internal("bad WITNESS response: '" + response.front() + "'");
   }
+  // The bag block between the OK line and END.
   return std::optional<std::vector<std::string>>(std::vector<std::string>(
       response.begin() + 1, response.end() - 1));
 }

@@ -5,10 +5,12 @@
 // transcript in docs/PROTOCOL.md verbatim against a live server.
 //
 // A client starts in the text framing and may negotiate the binary
-// framing (UpgradeBinary / DowngradeText). Every typed helper — and
-// Command(), which re-renders binary responses as the exact text lines
-// the text framing would have produced — works transparently in either
-// mode, so callers switch framings without changing call sites.
+// framing (UpgradeBinary / DowngradeText). Every typed helper builds one
+// WireRequest (server/protocol.h) and reads one response; only the
+// request encoding and the response decoding depend on the framing, and
+// binary responses decode to the exact text lines the text framing
+// would have produced (FrameToLines). Callers switch framings without
+// changing call sites.
 #pragma once
 
 #include <cstdint>
@@ -18,6 +20,7 @@
 #include <vector>
 
 #include "bag/bag.h"
+#include "server/protocol.h"
 #include "tuple/attribute.h"
 #include "tuple/value_dictionary.h"
 #include "util/result.h"
@@ -72,9 +75,6 @@ class BagcdClient {
   /// True after a successful UpgradeBinary (and before DowngradeText).
   bool binary_mode() const { return binary_; }
 
-  /// Sends one raw frame. Binary mode only.
-  Status SendFrame(uint8_t opcode, std::string_view payload);
-
   /// Reads the next complete frame (opcode, payload). Binary mode only.
   Result<std::pair<uint8_t, std::string>> ReadFrame();
 
@@ -120,17 +120,13 @@ class BagcdClient {
  private:
   BagcdClient() = default;
 
-  // Sends `frame_payload` under `opcode`, expects an Ok frame back, and
-  // returns its payload (the OK line sans prefix); an Err frame becomes
-  // the same Status the text path would produce.
-  Result<std::string> RoundTripOk(uint8_t opcode, std::string_view payload);
-  // As RoundTripOk for verdict-shaped queries: (consistent, indices).
-  Result<std::pair<bool, std::vector<size_t>>> RoundTripVerdict(
-      uint8_t opcode, std::string_view payload);
-  // Re-renders one server frame as the text lines the text framing would
-  // have produced for the same response (byte-identical).
-  Result<std::vector<std::string>> FrameToLines(uint8_t opcode,
-                                                const std::string& payload);
+  // Sends `request` in the current framing and reads its response.
+  Result<std::vector<std::string>> Call(const WireRequest& request);
+  // Call, expecting an OK response.
+  Status CallOk(const WireRequest& request);
+  // Reads one complete response in the current framing as text lines,
+  // following the framing switches UPGRADE BINARY and TEXT answer.
+  Result<std::vector<std::string>> ReadResponse();
 
   int fd_ = -1;
   std::string banner_;
@@ -138,6 +134,11 @@ class BagcdClient {
   bool binary_ = false;
   std::vector<AttrId> shipped_;  // attributes already shipped as DICT blocks
 };
+
+/// Renders one server frame as the text lines the text framing produces
+/// for the same response (byte-identical).
+Result<std::vector<std::string>> FrameToLines(uint8_t opcode,
+                                              const std::string& payload);
 
 /// Replays a C:/S: transcript against a live server and fails on the
 /// first divergence. `text` is either a raw transcript or a markdown

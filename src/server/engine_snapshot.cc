@@ -2,6 +2,7 @@
 
 #include <cctype>
 #include <charconv>
+#include <limits>
 #include <utility>
 
 #include "bag/bag_io.h"
@@ -102,18 +103,25 @@ Result<size_t> EngineSnapshot::ResolveBag(const std::string& token) const {
     uint64_t index = 0;
     auto [ptr, ec] =
         std::from_chars(token.data(), token.data() + token.size(), index);
-    if (ec != std::errc() || ptr != token.data() + token.size() ||
-        index >= names_.size()) {
-      return Status::OutOfRange("bag index " + token + " out of range (" +
-                                std::to_string(names_.size()) + " bags sealed)");
+    if (ec != std::errc() || ptr != token.data() + token.size()) {
+      index = std::numeric_limits<uint64_t>::max();  // out of range
     }
-    return static_cast<size_t>(index);
+    return ResolveIndex(index);
   }
   auto it = name_index_.find(token);
   if (it == name_index_.end()) {
     return Status::NotFound("no sealed bag named '" + token + "'");
   }
   return it->second;
+}
+
+Result<size_t> EngineSnapshot::ResolveIndex(uint64_t index) const {
+  if (index >= names_.size()) {
+    return Status::OutOfRange("bag index " + std::to_string(index) +
+                              " out of range (" + std::to_string(names_.size()) +
+                              " bags sealed)");
+  }
+  return static_cast<size_t>(index);
 }
 
 Result<bool> EngineSnapshot::TwoBag(size_t i, size_t j) const {

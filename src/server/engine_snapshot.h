@@ -99,6 +99,9 @@ class EngineSnapshot {
   /// anything else a LOAD-time bag name.
   Result<size_t> ResolveBag(const std::string& token) const;
 
+  /// Range-checks a bag index (OutOfRange past the sealed bags).
+  Result<size_t> ResolveIndex(uint64_t index) const;
+
   /// Lemma 2(2) for bags i and j, from the sealed marginal cache.
   Result<bool> TwoBag(size_t i, size_t j) const;
 

@@ -19,6 +19,10 @@
 // here too, as shared append/read helpers, so the server-side encoder
 // (session.cc) and the client-side decoder (client.cc) cannot drift.
 // "CMD TEXT" (a kFrameCmd carrying the verb TEXT) drops back to lines.
+//
+// Requests in either framing decode into one typed WireRequest (the end
+// of this header), so a verb's arguments and its row payload have one
+// meaning whatever carried them; the session executes that request once.
 #pragma once
 
 #include <cstdint>
@@ -67,24 +71,29 @@ std::string WireErrLineForStatus(const Status& status);
 
 /// Whitespace tokenizer with '#'-to-end-of-line comment stripping — the
 /// same lexical rules as the bag IO format, applied to command lines.
-std::vector<std::string> WireTokens(const std::string& line);
+std::vector<std::string> WireTokens(std::string_view line);
 
 /// Strips a trailing comment and surrounding whitespace; an empty result
 /// means the line carries nothing (ignored in command position).
 std::string WireStrip(const std::string& line);
 
 /// True for commands whose request carries a body up to "END": DICT,
-/// LOAD, LOADU32. The server always consumes the body of such a command
-/// before responding, even when the header is invalid, so one bad header
-/// cannot desynchronize the stream.
-bool WireCommandHasBody(const std::string& command);
+/// LOAD, LOADU32, INSERT, DELETE. The server always consumes the body of
+/// such a command before responding, even when the header is invalid, so
+/// one bad header cannot desynchronize the stream.
+bool WireCommandHasBody(std::string_view command);
 
 /// True for response first-lines that open a body up to "END":
 /// "OK WITNESS ..." and "OK STATS".
 bool WireResponseHasBody(const std::string& first_line);
 
 /// Parses a non-negative integer token (no sign, no suffix).
-Result<uint64_t> WireParseUint(const std::string& token);
+Result<uint64_t> WireParseUint(std::string_view token);
+
+/// True when `value` can travel as one text token: non-empty, no
+/// whitespace, no '#'. Dictionary values and attribute names must be,
+/// because text responses print them.
+bool WireRepresentable(std::string_view value);
 
 // ---- Binary framing ------------------------------------------------------
 //
@@ -173,5 +182,78 @@ class WireCursor {
   size_t pos_ = 0;
   bool ok_ = true;
 };
+
+// ---- Typed requests ------------------------------------------------------
+//
+// Both framings decode into one WireRequest, which the session executes;
+// text and binary differ only in these codecs. Decoding checks grammar
+// (token counts, integer syntax, frame layout) and reports failures as
+// statuses whose WireErrorForStatus class is the wire error. Whether a
+// request is allowed, and what it does, is the session's business.
+
+/// Every request verb, whatever framing carried it.
+enum class WireVerb : uint8_t {
+  kHello, kUpgrade, kText, kQuit, kShutdown,
+  kDict, kLoad, kLoadU32, kLoadSeg, kDrop, kSeal, kReset, kAttach, kDetach,
+  kInsert, kDelete, kBegin, kCommit, kStats,
+  kTwoBag, kPairwise, kGlobal, kKWise, kWitness,
+};
+
+/// The verb's command token ("TWOBAG", "LOADU32", ...).
+std::string_view WireVerbName(WireVerb verb);
+
+/// A query's bag operand: a LOAD-order index, or a bag name when `name`
+/// is non-empty. A digits-only text token is an index; frames carry
+/// indices only.
+struct WireBagRef {
+  uint64_t index = 0;
+  std::string name;
+};
+
+/// A block of u32 id rows: a bag for LOADU32 blocks and ROWS frames, a
+/// delta for INSERT/DELETE (the verb gives the sign).
+struct WireRowBlock {
+  std::vector<std::string> attrs;  ///< column names, in wire order
+  std::vector<uint32_t> ids;       ///< row-major, attrs.size() ids per row
+  std::vector<uint64_t> counts;    ///< one multiplicity or delta per row
+};
+
+/// One decoded request; fields `verb` does not use stay default.
+struct WireRequest {
+  WireVerb verb = WireVerb::kHello;
+  /// DICT attribute; LOAD/LOADU32/INSERT/DELETE/DROP bag; ATTACH or
+  /// STATS collection (empty: global STATS); LOADSEG path.
+  std::string name;
+  WireBagRef bag_i, bag_j;  ///< TWOBAG, WITNESS
+  uint64_t k = 0;           ///< KWISE
+  uint64_t threads = 1;     ///< SEAL THREADS
+  bool minimal = false;     ///< WITNESS ... MINIMAL
+  bool canonical = false;   ///< SEAL CANONICAL
+  bool full = false;        ///< SEAL FULL
+  bool hard = false;        ///< RESET HARD
+  std::vector<std::string> values;  ///< DICT values in id order
+  /// LOAD rows as one bag IO block: "bag <attrs>", the rows, "end".
+  std::vector<std::string> block;
+  WireRowBlock rows;  ///< LOADU32, INSERT, DELETE
+};
+
+/// Decodes a text request from its command-line tokens (non-empty) and,
+/// for the body verbs (WireCommandHasBody), its body lines without END.
+Result<WireRequest> DecodeTextRequest(const std::vector<std::string>& tokens,
+                                      std::vector<std::string> body);
+
+/// Decodes one client frame. A CMD frame carries a text command line
+/// without a body; the body verbs travel as DICT/ROWS/INSERT/DELETE
+/// frames and are refused (E_STATE) inside CMD.
+Result<WireRequest> DecodeFrameRequest(uint8_t opcode, std::string_view payload);
+
+/// The text form of `request`: the command line and, for body verbs, the
+/// body and END, each line '\n'-terminated.
+std::string EncodeTextRequest(const WireRequest& request);
+
+/// The binary form of `request`: one frame, CMD for verbs without an
+/// opcode of their own (and for queries naming bags). LOAD has no frame
+/// form (FailedPrecondition).
+Result<std::string> EncodeFrameRequest(const WireRequest& request);
 
 }  // namespace bagc

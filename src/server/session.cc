@@ -4,7 +4,6 @@
 #include <future>
 #include <limits>
 #include <map>
-#include <sstream>
 #include <utility>
 
 #include "bag/bag_io.h"
@@ -57,59 +56,56 @@ auto RunOn(ThreadPool* pool, Fn&& fn) -> decltype(fn()) {
   return future.get();
 }
 
-// Splits serialized bag text into response body lines (drops the final
-// empty fragment from the trailing newline).
-std::vector<std::string> SplitBody(const std::string& text) {
-  std::vector<std::string> lines;
-  std::istringstream iss(text);
-  std::string line;
-  while (std::getline(iss, line)) lines.push_back(line);
-  return lines;
-}
-
 // The protocol-v1 text encoder. Its output is pinned byte-for-byte by
 // the docs/PROTOCOL.md transcript replay — change nothing here without
 // changing the transcript.
 class TextSink final : public ServerSession::ResponseSink {
  public:
-  explicit TextSink(std::vector<std::string>* out) : out_(out) {}
+  explicit TextSink(std::string* out) : out_(out) {}
 
-  void Ok(const std::string& rest) override { out_->push_back("OK " + rest); }
+  void Ok(const std::string& rest) override {
+    *out_ += "OK ";
+    *out_ += rest;
+    *out_ += '\n';
+  }
 
   void Err(WireError error, const std::string& message) override {
-    out_->push_back(WireErrLine(error, message));
+    *out_ += WireErrLine(error, message);
+    *out_ += '\n';
   }
 
   void Verdict(bool consistent, const std::vector<size_t>& indices) override {
     if (consistent) {
-      out_->push_back("OK CONSISTENT");
+      *out_ += "OK CONSISTENT\n";
       return;
     }
-    std::string line = "OK INCONSISTENT";
-    for (size_t index : indices) line += " " + std::to_string(index);
-    out_->push_back(std::move(line));
+    *out_ += "OK INCONSISTENT";
+    for (size_t index : indices) *out_ += " " + std::to_string(index);
+    *out_ += '\n';
   }
 
-  void WitnessNone() override { out_->push_back("OK NONE"); }
+  void WitnessNone() override { *out_ += "OK NONE\n"; }
 
   void WitnessBag(const Bag& bag, const EngineSnapshot& snapshot) override {
-    out_->push_back("OK WITNESS " + std::to_string(bag.SupportSize()));
-    for (std::string& line : SplitBody(snapshot.WriteBagText(bag))) {
-      out_->push_back(std::move(line));
-    }
-    out_->push_back(std::string(kWireEnd));
+    // The bag IO block ("bag ...", rows, "end", each '\n'-terminated) is
+    // the response body as is.
+    *out_ += "OK WITNESS " + std::to_string(bag.SupportSize()) + "\n";
+    *out_ += snapshot.WriteBagText(bag);
+    *out_ += kWireEnd;
+    *out_ += '\n';
   }
 
   void Stats(const std::vector<std::pair<std::string, uint64_t>>& kv) override {
-    out_->push_back("OK STATS");
+    *out_ += "OK STATS\n";
     for (const auto& [key, value] : kv) {
-      out_->push_back(key + " " + std::to_string(value));
+      *out_ += key + " " + std::to_string(value) + "\n";
     }
-    out_->push_back(std::string(kWireEnd));
+    *out_ += kWireEnd;
+    *out_ += '\n';
   }
 
  private:
-  std::vector<std::string>* out_;
+  std::string* out_;
 };
 
 // The binary encoder: one frame per response, appended straight into
@@ -192,13 +188,59 @@ class BinarySink final : public ServerSession::ResponseSink {
   std::string* out_;
 };
 
-// Server-side twin of the client's wire-value validation: a dictionary
-// value that a binary DICT frame can carry but the text framing cannot
-// represent (whitespace, '#', empty) would corrupt every later text
-// response that decodes it, so it is refused at the boundary.
-bool WireRepresentable(std::string_view value) {
-  return !value.empty() &&
-         value.find_first_of("# \t\r\n") == std::string_view::npos;
+// Empty and all-digit names are reserved: digit tokens address bags
+// (and keep STATS <collection> unambiguous) by index.
+bool ReservedName(const std::string& name) {
+  bool all_digits = true;
+  for (char c : name) all_digits = all_digits && c >= '0' && c <= '9';
+  return all_digits;
+}
+
+bool IsQuery(WireVerb verb) {
+  return verb == WireVerb::kTwoBag || verb == WireVerb::kPairwise ||
+         verb == WireVerb::kGlobal || verb == WireVerb::kKWise ||
+         verb == WireVerb::kWitness;
+}
+
+// A transaction pins the bag set and the bound collection: only the
+// delta verbs, queries, and session/framing commands run while one is
+// open. RESET stays legal (it discards the transaction with everything
+// else).
+bool RefusedInTransaction(WireVerb verb) {
+  return verb == WireVerb::kDict || verb == WireVerb::kLoad ||
+         verb == WireVerb::kLoadU32 || verb == WireVerb::kLoadSeg ||
+         verb == WireVerb::kDrop || verb == WireVerb::kSeal ||
+         verb == WireVerb::kAttach || verb == WireVerb::kDetach;
+}
+
+// LOAD: the bag IO parser interns the external tokens.
+Result<Bag> BagFromBlock(const std::vector<std::string>& block,
+                         AttributeCatalog* catalog, DictionarySet* dicts) {
+  size_t pos = 0;
+  BAGC_ASSIGN_OR_RETURN(Bag bag, ParseBag(block, &pos, catalog, dicts));
+  if (pos != block.size()) {
+    // A stray lowercase "end" row terminated the block early.
+    return Status::InvalidArgument(
+        "unexpected content after 'end' in a row block");
+  }
+  return bag;
+}
+
+// LOADU32: scatters the row-major wire rows into column-major scratch so
+// the columnar ingest (and its validation: dictionaries, issued ids,
+// duplicate rows) runs on them directly.
+Result<Bag> BagFromRows(const WireRowBlock& rows, AttributeCatalog* catalog,
+                        const DictionarySet& dicts) {
+  const size_t arity = rows.attrs.size();
+  const size_t n = rows.counts.size();
+  std::vector<ValueId> cols(arity * n);
+  for (size_t r = 0; r < n; ++r) {
+    for (size_t c = 0; c < arity; ++c) cols[c * n + r] = rows.ids[r * arity + c];
+  }
+  std::vector<const ValueId*> ptrs(arity);
+  for (size_t c = 0; c < arity; ++c) ptrs[c] = cols.data() + c * n;
+  return BagFromU32Columns(rows.attrs, ColumnView(std::move(ptrs), n),
+                           rows.counts.data(), catalog, dicts);
 }
 
 }  // namespace
@@ -215,11 +257,19 @@ ServerSession::~ServerSession() { registry_->SessionClosed(); }
 
 ServerSession::Outcome ServerSession::HandleData(std::string_view data,
                                                  std::string* out) {
+  auto run = [this](Result<WireRequest> request, ResponseSink* sink) {
+    if (!request.ok()) {
+      sink->ErrStatus(request.status());
+      return Outcome::kContinue;
+    }
+    return Execute(*request, sink);
+  };
   inbuf_.append(data.data(), data.size());
   size_t consumed = 0;
   Outcome outcome = Outcome::kContinue;
   while (outcome == Outcome::kContinue) {
     if (mode_ == Mode::kText) {
+      TextSink sink(out);
       size_t nl = inbuf_.find('\n', consumed);
       // The line-length ceiling applies whether or not the newline has
       // arrived yet: a complete over-long line (one read with a late
@@ -227,22 +277,48 @@ ServerSession::Outcome ServerSession::HandleData(std::string_view data,
       // slip through just because it parsed as a whole line.
       if (nl == std::string::npos ? inbuf_.size() - consumed > kMaxLineBytes
                                   : nl - consumed > kMaxLineBytes) {
-        *out += WireErrLine(WireError::kRange,
-                            "input line exceeds " +
-                                std::to_string(kMaxLineBytes) + " bytes");
-        *out += '\n';
+        sink.Err(WireError::kRange, "input line exceeds " +
+                                        std::to_string(kMaxLineBytes) + " bytes");
         outcome = Outcome::kCloseConnection;
         break;
       }
       if (nl == std::string::npos) break;
-      std::string line = inbuf_.substr(consumed, nl - consumed);
+      std::string_view line(inbuf_.data() + consumed, nl - consumed);
       consumed = nl + 1;
-      if (!line.empty() && line.back() == '\r') line.pop_back();
-      std::vector<std::string> responses;
-      outcome = HandleLine(line, &responses);
-      for (const std::string& response : responses) {
-        *out += response;
-        *out += '\n';
+      if (!line.empty() && line.back() == '\r') line.remove_suffix(1);
+      if (body_header_.empty()) {
+        std::vector<std::string> tokens = WireTokens(line);
+        if (tokens.empty()) continue;  // blank / comment line
+        if (WireCommandHasBody(tokens[0])) {
+          // Open the body even under a bad header: it is always consumed
+          // through END before the (possibly ERR) response, so a bad
+          // header can never desynchronize the line stream.
+          body_header_ = std::move(tokens);
+          continue;
+        }
+        outcome = run(DecodeTextRequest(tokens, {}), &sink);
+      } else if (StripCommentView(line) != kWireEnd) {
+        if (body_lines_.size() >= kMaxBodyLines ||
+            body_bytes_ + line.size() > kMaxBodyBytes) {
+          body_overflow_ = true;  // keep consuming, stop buffering
+        } else {
+          body_bytes_ += line.size();
+          body_lines_.emplace_back(line);
+        }
+      } else {
+        std::vector<std::string> header = std::move(body_header_);
+        std::vector<std::string> body = std::move(body_lines_);
+        body_header_.clear();
+        body_lines_.clear();
+        body_bytes_ = 0;
+        if (body_overflow_) {
+          body_overflow_ = false;
+          sink.Err(WireError::kRange,
+                   "request body exceeds " + std::to_string(kMaxBodyLines) +
+                       " lines or " + std::to_string(kMaxBodyBytes) + " bytes");
+        } else {
+          outcome = run(DecodeTextRequest(header, std::move(body)), &sink);
+        }
       }
       // A successful UPGRADE flips mode_ mid-buffer; the loop re-checks
       // it each iteration, so bytes already received parse as frames.
@@ -254,9 +330,9 @@ ServerSession::Outcome ServerSession::HandleData(std::string_view data,
       uint8_t opcode = 0;
       header.U32(&payload_len);
       header.U8(&opcode);
+      BinarySink sink(out);
       if (payload_len > kWireMaxFramePayload) {
         // No resync is possible mid-frame; refuse and close.
-        BinarySink sink(out);
         sink.Err(WireError::kRange,
                  "frame payload exceeds " +
                      std::to_string(kWireMaxFramePayload) + " bytes");
@@ -267,650 +343,281 @@ ServerSession::Outcome ServerSession::HandleData(std::string_view data,
       std::string_view payload(inbuf_.data() + consumed + kWireFrameHeaderBytes,
                                payload_len);
       consumed += kWireFrameHeaderBytes + payload_len;
-      BinarySink sink(out);
-      outcome = HandleFrame(opcode, payload, &sink);
+      outcome = run(DecodeFrameRequest(opcode, payload), &sink);
     }
   }
   inbuf_.erase(0, consumed);
   return outcome;
 }
 
-ServerSession::Outcome ServerSession::HandleLine(const std::string& line,
-                                                 std::vector<std::string>* out) {
-  TextSink sink(out);
-  if (body_ != Body::kNone) {
-    if (WireStrip(line) == kWireEnd) {
-      FinishBody(&sink);
-    } else if (body_lines_.size() >= kMaxBodyLines ||
-               body_bytes_ + line.size() > kMaxBodyBytes) {
-      body_overflow_ = true;  // keep consuming, stop buffering
-    } else {
-      body_bytes_ += line.size();
-      body_lines_.push_back(line);
-    }
-    return Outcome::kContinue;
-  }
-  std::vector<std::string> tokens = WireTokens(line);
-  if (tokens.empty()) return Outcome::kContinue;  // blank / comment line
-  return HandleCommand(tokens, &sink);
-}
-
 std::vector<std::string> ServerSession::HandleScript(const std::string& text) {
-  std::vector<std::string> out;
-  std::istringstream iss(text);
-  std::string line;
-  while (std::getline(iss, line)) {
-    if (HandleLine(line, &out) != Outcome::kContinue) break;
+  std::string out;
+  if (HandleData(text, &out) == Outcome::kContinue && !text.empty() &&
+      text.back() != '\n') {
+    HandleData("\n", &out);
   }
-  return out;
+  std::vector<std::string> lines;
+  for (size_t begin = 0, nl; (nl = out.find('\n', begin)) != std::string::npos;
+       begin = nl + 1) {
+    lines.emplace_back(out, begin, nl - begin);
+  }
+  return lines;
 }
 
-ServerSession::Outcome ServerSession::HandleCommand(
-    const std::vector<std::string>& tokens, ResponseSink* sink) {
-  const std::string& cmd = tokens[0];
-  // A transaction pins the bag set and the bound collection: only the
-  // delta verbs, queries, and framing commands run while one is open.
-  // RESET stays legal (it discards the transaction with everything
-  // else); body-carrying commands are refused in FinishBody so their
-  // blocks are still consumed through END.
-  if (txn_active_ && (cmd == "SEAL" || cmd == "LOADSEG" || cmd == "DROP" ||
-                      cmd == "ATTACH" || cmd == "DETACH")) {
+ServerSession::Outcome ServerSession::Execute(const WireRequest& request,
+                                              ResponseSink* sink) {
+  if (txn_active_ && RefusedInTransaction(request.verb)) {
     sink->Err(WireError::kState,
-              cmd + " is not allowed inside a transaction; COMMIT or RESET "
-                    "first");
+              std::string(WireVerbName(request.verb)) +
+                  " is not allowed inside a transaction; COMMIT or RESET "
+                  "first");
     return Outcome::kContinue;
   }
-  if (WireCommandHasBody(cmd)) {
-    if (mode_ == Mode::kBinary) {
-      // Bodies are line-framed; inside the binary framing they travel as
-      // DICT/ROWS frames instead.
-      const std::string frame =
-          cmd == "DICT" ? "DICT"
-                        : (cmd == "INSERT" || cmd == "DELETE" ? cmd : "ROWS");
-      sink->Err(WireError::kState,
-                cmd + " blocks are not available in binary mode; ship a " +
-                    frame + " frame");
-      return Outcome::kContinue;
+  std::shared_ptr<const EngineSnapshot> snapshot;
+  size_t i = 0, j = 0;
+  if (IsQuery(request.verb)) {
+    snapshot = PinQuery(request, &i, &j, sink);
+    if (snapshot == nullptr) return Outcome::kContinue;
+  }
+  switch (request.verb) {
+    case WireVerb::kHello:
+      sink->Ok("HELLO proto " + std::to_string(kWireProtocolVersion) +
+               " frames " + std::to_string(kWireFrameVersion));
+      break;
+    case WireVerb::kUpgrade:
+      Upgrade(sink);
+      break;
+    case WireVerb::kText:
+      // Idempotent downgrade: the OK is the last frame (or a plain text
+      // line when already in text mode); everything after is lines.
+      sink->Ok("TEXT");
+      mode_ = Mode::kText;
+      break;
+    case WireVerb::kQuit:
+      sink->Ok("BYE");
+      return Outcome::kCloseConnection;
+    case WireVerb::kShutdown:
+      sink->Ok("BYE");
+      return Outcome::kShutdownServer;
+    case WireVerb::kDict:
+      LoadDict(request, sink);
+      break;
+    case WireVerb::kLoad:
+    case WireVerb::kLoadU32:
+      LoadBag(request, sink);
+      break;
+    case WireVerb::kLoadSeg:
+      LoadSeg(request.name, sink);
+      break;
+    case WireVerb::kDrop:
+      Drop(request.name, sink);
+      break;
+    case WireVerb::kSeal:
+      Seal(request, sink);
+      break;
+    case WireVerb::kReset:
+      Reset(request.hard, sink);
+      break;
+    case WireVerb::kAttach:
+      Attach(request.name, sink);
+      break;
+    case WireVerb::kDetach:
+      Detach(sink);
+      break;
+    case WireVerb::kInsert:
+    case WireVerb::kDelete:
+      Mutate(request, sink);
+      break;
+    case WireVerb::kBegin:
+      Begin(sink);
+      break;
+    case WireVerb::kCommit:
+      Commit(sink);
+      break;
+    case WireVerb::kStats:
+      Stats(request.name, sink);
+      break;
+    case WireVerb::kTwoBag: {
+      Result<bool> verdict =
+          RunOn(query_pool_, [&] { return snapshot->TwoBag(i, j); });
+      if (verdict.ok()) sink->Verdict(*verdict, {});
+      else sink->ErrStatus(verdict.status());
+      break;
     }
-    // Enter body mode even on a bad header: the body is always consumed
-    // through END before the (possibly ERR) response, so a bad header
-    // can never desynchronize the line stream.
-    body_ = cmd == "DICT"     ? Body::kDict
-            : cmd == "LOAD"   ? Body::kLoadText
-            : cmd == "INSERT" ? Body::kInsert
-            : cmd == "DELETE" ? Body::kDelete
-                              : Body::kLoadU32;
-    body_header_ = tokens;
-    body_lines_.clear();
-    return Outcome::kContinue;
-  }
-  if (cmd == "SEAL") {
-    HandleSeal(tokens, sink);
-  } else if (cmd == "BEGIN") {
-    HandleBegin(tokens, sink);
-  } else if (cmd == "COMMIT") {
-    HandleCommit(tokens, sink);
-  } else if (cmd == "TWOBAG") {
-    HandleTwoBag(tokens, sink);
-  } else if (cmd == "PAIRWISE") {
-    HandlePairwise(sink);
-  } else if (cmd == "GLOBAL") {
-    HandleGlobal(sink);
-  } else if (cmd == "KWISE") {
-    HandleKWise(tokens, sink);
-  } else if (cmd == "WITNESS") {
-    HandleWitness(tokens, sink);
-  } else if (cmd == "STATS") {
-    HandleStats(tokens, sink);
-  } else if (cmd == "RESET") {
-    HandleReset(tokens, sink);
-  } else if (cmd == "ATTACH") {
-    HandleAttach(tokens, sink);
-  } else if (cmd == "DETACH") {
-    HandleDetach(tokens, sink);
-  } else if (cmd == "DROP") {
-    HandleDrop(tokens, sink);
-  } else if (cmd == "HELLO") {
-    HandleHello(tokens, sink);
-  } else if (cmd == "UPGRADE") {
-    HandleUpgrade(tokens, sink);
-  } else if (cmd == "TEXT") {
-    // Idempotent downgrade: the OK is the last frame (or a plain text
-    // line when already in text mode); everything after is lines.
-    sink->Ok("TEXT");
-    mode_ = Mode::kText;
-  } else if (cmd == "LOADSEG") {
-    HandleLoadSeg(tokens, sink);
-  } else if (cmd == "QUIT") {
-    sink->Ok("BYE");
-    return Outcome::kCloseConnection;
-  } else if (cmd == "SHUTDOWN") {
-    sink->Ok("BYE");
-    return Outcome::kShutdownServer;
-  } else {
-    sink->Err(WireError::kParse, "unknown command '" + cmd + "'");
+    case WireVerb::kPairwise: {
+      const PairwiseVerdict& verdict = snapshot->Pairwise();  // sealed at Build
+      if (verdict.consistent) {
+        sink->Verdict(true, {});
+      } else {
+        sink->Verdict(false,
+                      {verdict.witness_pair.first, verdict.witness_pair.second});
+      }
+      break;
+    }
+    case WireVerb::kGlobal: {
+      Result<bool> verdict = RunOn(query_pool_, [&] { return snapshot->Global(); });
+      if (verdict.ok()) sink->Verdict(*verdict, {});
+      else sink->ErrStatus(verdict.status());
+      break;
+    }
+    case WireVerb::kKWise: {
+      std::optional<std::vector<size_t>> failing;
+      Result<bool> verdict = RunOn(query_pool_, [&] {
+        return snapshot->KWise(static_cast<size_t>(request.k), &failing);
+      });
+      if (!verdict.ok()) sink->ErrStatus(verdict.status());
+      else if (*verdict) sink->Verdict(true, {});
+      else sink->Verdict(false, *failing);
+      break;
+    }
+    case WireVerb::kWitness: {
+      Result<std::optional<Bag>> witness = RunOn(
+          query_pool_, [&] { return snapshot->Witness(i, j, request.minimal); });
+      if (!witness.ok()) sink->ErrStatus(witness.status());
+      else if (!witness->has_value()) sink->WitnessNone();
+      else sink->WitnessBag(**witness, *snapshot);
+      break;
+    }
   }
   return Outcome::kContinue;
 }
 
-ServerSession::Outcome ServerSession::HandleFrame(uint8_t opcode,
-                                                  std::string_view payload,
-                                                  ResponseSink* sink) {
-  switch (opcode) {
-    case kFrameCmd: {
-      std::vector<std::string> tokens = WireTokens(std::string(payload));
-      if (tokens.empty()) {
-        sink->Err(WireError::kParse, "empty command frame");
-        return Outcome::kContinue;
-      }
-      return HandleCommand(tokens, sink);
-    }
-    case kFrameDict:
-      HandleDictFrame(payload, sink);
-      return Outcome::kContinue;
-    case kFrameRows:
-      HandleRowsFrame(payload, sink);
-      return Outcome::kContinue;
-    case kFrameInsert:
-    case kFrameDelete:
-      HandleMutateFrame(opcode == kFrameInsert, payload, sink);
-      return Outcome::kContinue;
-    case kFrameBegin:
-      if (!payload.empty()) {
-        sink->Err(WireError::kParse, "BEGIN frame carries no payload");
-        return Outcome::kContinue;
-      }
-      HandleBegin({"BEGIN"}, sink);
-      return Outcome::kContinue;
-    case kFrameCommit:
-      if (!payload.empty()) {
-        sink->Err(WireError::kParse, "COMMIT frame carries no payload");
-        return Outcome::kContinue;
-      }
-      HandleCommit({"COMMIT"}, sink);
-      return Outcome::kContinue;
-    case kFrameTwoBag: {
-      WireCursor cur(payload);
-      uint32_t i = 0, j = 0;
-      if (!cur.U32(&i) || !cur.U32(&j) || !cur.AtEnd()) {
-        sink->Err(WireError::kParse, "TWOBAG frame carries u32 i, u32 j");
-        return Outcome::kContinue;
-      }
-      QueryTwoBag(i, j, sink);
-      return Outcome::kContinue;
-    }
-    case kFramePairwise:
-      if (!payload.empty()) {
-        sink->Err(WireError::kParse, "PAIRWISE frame carries no payload");
-        return Outcome::kContinue;
-      }
-      HandlePairwise(sink);
-      return Outcome::kContinue;
-    case kFrameGlobal:
-      if (!payload.empty()) {
-        sink->Err(WireError::kParse, "GLOBAL frame carries no payload");
-        return Outcome::kContinue;
-      }
-      HandleGlobal(sink);
-      return Outcome::kContinue;
-    case kFrameKWise: {
-      WireCursor cur(payload);
-      uint32_t k = 0;
-      if (!cur.U32(&k) || !cur.AtEnd()) {
-        sink->Err(WireError::kParse, "KWISE frame carries u32 k");
-        return Outcome::kContinue;
-      }
-      QueryKWise(k, sink);
-      return Outcome::kContinue;
-    }
-    case kFrameWitness: {
-      WireCursor cur(payload);
-      uint32_t i = 0, j = 0;
-      uint8_t minimal = 0;
-      if (!cur.U32(&i) || !cur.U32(&j) || !cur.U8(&minimal) || !cur.AtEnd() ||
-          minimal > 1) {
-        sink->Err(WireError::kParse,
-                  "WITNESS frame carries u32 i, u32 j, u8 minimal");
-        return Outcome::kContinue;
-      }
-      QueryWitness(i, j, minimal == 1, sink);
-      return Outcome::kContinue;
-    }
-    default:
-      // The frame boundary is still known, so the stream can continue.
-      sink->Err(WireError::kParse,
-                "unknown frame opcode " + std::to_string(opcode));
-      return Outcome::kContinue;
+std::shared_ptr<const EngineSnapshot> ServerSession::PinQuery(
+    const WireRequest& request, size_t* i, size_t* j, ResponseSink* sink) {
+  Result<std::shared_ptr<const EngineSnapshot>> snapshot =
+      registry_->Acquire(collection_.get());
+  if (!snapshot.ok()) {
+    // Evicted with no reload source, or the segment reload failed.
+    sink->ErrStatus(snapshot.status());
+    return nullptr;
   }
+  if (*snapshot == nullptr) {
+    sink->Err(WireError::kState, "no sealed engine; SEAL a collection first");
+    return nullptr;
+  }
+  if (request.verb == WireVerb::kTwoBag || request.verb == WireVerb::kWitness) {
+    auto resolve = [&](const WireBagRef& ref) {
+      return ref.name.empty() ? (*snapshot)->ResolveIndex(ref.index)
+                              : (*snapshot)->ResolveBag(ref.name);
+    };
+    Result<size_t> ri = resolve(request.bag_i);
+    Result<size_t> rj = resolve(request.bag_j);
+    if (!ri.ok() || !rj.ok()) {
+      sink->ErrStatus(ri.ok() ? rj.status() : ri.status());
+      return nullptr;
+    }
+    *i = *ri;
+    *j = *rj;
+  }
+  registry_->RecordQuery();
+  return *std::move(snapshot);
 }
 
-void ServerSession::FinishBody(ResponseSink* sink) {
-  Body body = body_;
-  body_ = Body::kNone;
-  if (body_overflow_) {
-    body_overflow_ = false;
-    sink->Err(WireError::kRange,
-              "request body exceeds " + std::to_string(kMaxBodyLines) +
-                  " lines or " + std::to_string(kMaxBodyBytes) + " bytes");
-  } else if (txn_active_ && body != Body::kInsert && body != Body::kDelete) {
-    // The block was consumed through END (stream stays in sync); only
-    // the application is refused.
-    sink->Err(WireError::kState,
-              body_header_[0] +
-                  " is not allowed inside a transaction; COMMIT or RESET "
-                  "first");
-  } else if (body == Body::kDict) {
-    FinishDict(sink);
-  } else if (body == Body::kInsert || body == Body::kDelete) {
-    FinishMutate(body == Body::kInsert, sink);
-  } else {
-    FinishLoad(sink);
-  }
-  body_header_.clear();
-  body_lines_.clear();
-  body_bytes_ = 0;
-}
-
-void ServerSession::FinishDict(ResponseSink* sink) {
-  if (body_header_.size() != 3) {
-    sink->Err(WireError::kParse, "usage: DICT <attribute> <count>");
-    return;
-  }
-  const std::string& attr_name = body_header_[1];
-  Result<uint64_t> count = WireParseUint(body_header_[2]);
-  if (!count.ok()) {
-    sink->ErrStatus(count.status());
-    return;
-  }
-  std::vector<std::string> values;
-  values.reserve(body_lines_.size());
-  for (const std::string& raw : body_lines_) {
-    std::vector<std::string> tokens = WireTokens(raw);
-    if (tokens.empty()) continue;  // blank / comment line
-    if (tokens.size() != 1) {
-      sink->Err(WireError::kParse, "dictionary values are one token per line");
-      return;
-    }
-    values.push_back(std::move(tokens[0]));
-  }
-  if (values.size() != *count) {
-    sink->Err(WireError::kParse,
-              "DICT " + attr_name + " declared " + std::to_string(*count) +
-                  " values but shipped " + std::to_string(values.size()));
-    return;
-  }
-  AttrId attr = catalog_.Intern(attr_name);
-  Status loaded = dicts_->dict(attr).BulkLoad(values);
+void ServerSession::LoadDict(const WireRequest& request, ResponseSink* sink) {
+  AttrId attr = catalog_.Intern(request.name);
+  Status loaded = dicts_->dict(attr).BulkLoad(request.values);
   if (!loaded.ok()) {
     sink->ErrStatus(loaded);
     return;
   }
-  sink->Ok("DICT " + attr_name + " " + std::to_string(values.size()));
+  sink->Ok("DICT " + request.name + " " + std::to_string(request.values.size()));
 }
 
 bool ServerSession::CheckNewBagName(const std::string& name,
                                     ResponseSink* sink) {
-  bool all_digits = !name.empty();
-  for (char c : name) all_digits = all_digits && c >= '0' && c <= '9';
-  if (name.empty() || all_digits) {
+  if (ReservedName(name)) {
     sink->Err(WireError::kParse,
               "bag name '" + name +
                   "' must not be all digits (reserved for indices)");
     return false;
   }
-  if (HasBag(name)) {
+  if (FindBag(name) != bag_names_.size()) {
     sink->Err(WireError::kState, "bag '" + name + "' is already loaded");
     return false;
   }
   return true;
 }
 
-void ServerSession::FinishLoad(ResponseSink* sink) {
-  bool raw_ids = body_header_[0] == "LOADU32";
-  if (body_header_.size() < 3) {
-    sink->Err(WireError::kParse,
-              "usage: " + body_header_[0] + " <bag-name> <attribute...>");
-    return;
-  }
-  const std::string& name = body_header_[1];
-  if (!CheckNewBagName(name, sink)) return;
-  // Reassemble a bag IO block and hand it to the matching parser arm.
-  std::vector<std::string> lines;
-  lines.reserve(body_lines_.size() + 2);
-  std::string header = "bag";
-  for (size_t i = 2; i < body_header_.size(); ++i) header += " " + body_header_[i];
-  lines.push_back(std::move(header));
-  // Move, don't copy: body_lines_ is discarded by FinishBody right after,
-  // and a second per-row string copy here would undo the allocation-free
-  // row scanning one layer down.
-  for (std::string& raw : body_lines_) lines.push_back(std::move(raw));
-  lines.emplace_back("end");
-  size_t pos = 0;
-  Result<Bag> bag =
-      raw_ids ? ParseBagU32(lines, &pos, &catalog_, *dicts_)
-              : ParseBag(lines, &pos, &catalog_, dicts_.get());
-  if (!bag.ok()) {
-    sink->ErrStatus(bag.status());
-    return;
-  }
-  if (pos != lines.size()) {
-    // A stray lowercase "end" row terminated the block early.
-    sink->Err(WireError::kParse,
-              "unexpected content after 'end' in a row block");
-    return;
-  }
-  size_t support = bag->SupportSize();
-  AddBag(name, std::move(bag).value());
-  sink->Ok(body_header_[0] + " " + name + " " + std::to_string(support) +
-           " rows");
-}
-
-void ServerSession::HandleDictFrame(std::string_view payload,
-                                    ResponseSink* sink) {
-  WireCursor cur(payload);
-  std::string_view attr_view;
-  uint32_t count = 0;
-  if (!cur.String(&attr_view) || !cur.U32(&count)) {
-    sink->Err(WireError::kParse, "malformed DICT frame header");
-    return;
-  }
-  if (!WireRepresentable(attr_view)) {
-    sink->Err(WireError::kParse,
-              "attribute name is not representable on the wire");
-    return;
-  }
-  std::vector<std::string> values;
-  values.reserve(count);
-  for (uint32_t v = 0; v < count; ++v) {
-    std::string_view value;
-    if (!cur.String(&value)) {
-      sink->Err(WireError::kParse,
-                "DICT frame declared " + std::to_string(count) +
-                    " values but carries " + std::to_string(v));
-      return;
-    }
-    if (!WireRepresentable(value)) {
-      sink->Err(WireError::kParse,
-                "value '" + std::string(value) +
-                    "' is not representable on the wire");
-      return;
-    }
-    values.emplace_back(value);
-  }
-  if (!cur.AtEnd()) {
-    sink->Err(WireError::kParse, "trailing bytes in DICT frame");
-    return;
-  }
-  std::string attr_name(attr_view);
-  AttrId attr = catalog_.Intern(attr_name);
-  Status loaded = dicts_->dict(attr).BulkLoad(values);
-  if (!loaded.ok()) {
-    sink->ErrStatus(loaded);
-    return;
-  }
-  sink->Ok("DICT " + attr_name + " " + std::to_string(values.size()));
-}
-
-void ServerSession::HandleRowsFrame(std::string_view payload,
-                                    ResponseSink* sink) {
-  WireCursor cur(payload);
-  std::string_view name_view;
-  uint32_t ncols = 0;
-  if (!cur.String(&name_view) || !cur.U32(&ncols) || ncols == 0) {
-    sink->Err(WireError::kParse, "malformed ROWS frame header");
-    return;
-  }
-  std::vector<std::string> col_names;
-  col_names.reserve(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) {
-    std::string_view col;
-    if (!cur.String(&col)) {
-      sink->Err(WireError::kParse, "malformed ROWS frame header");
-      return;
-    }
-    col_names.emplace_back(col);
-  }
-  uint64_t nrows = 0;
-  if (!cur.U64(&nrows)) {
-    sink->Err(WireError::kParse, "malformed ROWS frame header");
-    return;
-  }
-  // Fixed-width remainder: exactly nrows × (ncols ids + one mult).
-  uint64_t row_bytes = uint64_t{ncols} * 4 + 8;
-  if (nrows != cur.remaining() / row_bytes ||
-      cur.remaining() % row_bytes != 0) {
-    sink->Err(WireError::kParse,
-              "ROWS frame declares " + std::to_string(nrows) +
-                  " rows but carries " + std::to_string(cur.remaining()) +
-                  " bytes of row data");
-    return;
-  }
-  std::string name(name_view);
-  if (!CheckNewBagName(name, sink)) return;
-  // Scatter the row-major wire layout into column-major scratch so the
-  // shared columnar ingest (and its validation) runs on it directly.
-  std::vector<ValueId> cols(size_t{ncols} * nrows);
-  std::vector<uint64_t> mults(nrows);
-  for (uint64_t r = 0; r < nrows; ++r) {
-    for (uint32_t c = 0; c < ncols; ++c) {
-      uint32_t id = 0;
-      cur.U32(&id);
-      cols[size_t{c} * nrows + r] = id;
-    }
-    cur.U64(&mults[r]);
-  }
-  std::vector<const ValueId*> ptrs(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) ptrs[c] = cols.data() + size_t{c} * nrows;
-  ColumnView view(std::move(ptrs), nrows);
-  Result<Bag> bag =
-      BagFromU32Columns(col_names, view, mults.data(), &catalog_, *dicts_);
+void ServerSession::LoadBag(const WireRequest& request, ResponseSink* sink) {
+  if (!CheckNewBagName(request.name, sink)) return;
+  Result<Bag> bag = request.verb == WireVerb::kLoad
+                        ? BagFromBlock(request.block, &catalog_, dicts_.get())
+                        : BagFromRows(request.rows, &catalog_, *dicts_);
   if (!bag.ok()) {
     sink->ErrStatus(bag.status());
     return;
   }
   size_t support = bag->SupportSize();
-  AddBag(name, std::move(bag).value());
-  sink->Ok("LOADU32 " + name + " " + std::to_string(support) + " rows");
+  AddBag(request.name, std::move(bag).value());
+  sink->Ok(std::string(WireVerbName(request.verb)) + " " + request.name + " " +
+           std::to_string(support) + " rows");
 }
 
-// Resolves an INSERT/DELETE column header against the loaded bag: the
-// named attributes must spell exactly the bag's schema (any order), every
-// attribute needs a dictionary (same rule as LOADU32), and
-// slot_of_column[c] maps wire column c to its schema slot. Emits the
-// error and returns false when unusable.
-static bool ResolveMutateColumns(AttributeCatalog* catalog,
-                                 const DictionarySet& dicts,
-                                 const Schema& bag_schema,
-                                 const std::vector<std::string>& col_names,
-                                 std::vector<const ValueDictionary*>* column_dict,
-                                 std::vector<size_t>* slot_of_column,
-                                 ServerSession::ResponseSink* sink) {
+void ServerSession::Mutate(const WireRequest& request, ResponseSink* sink) {
+  const bool insert = request.verb == WireVerb::kInsert;
+  const std::string verb(WireVerbName(request.verb));
+  const size_t bag_index = FindBag(request.name);
+  if (bag_index == bag_names_.size()) {
+    sink->Err(WireError::kState,
+              "bag '" + request.name + "' is not loaded in this session; " +
+                  verb + " mutates loaded bags (LOAD, LOADU32, or LOADSEG it first)");
+    return;
+  }
+  // The named attributes must spell exactly the bag's schema (any
+  // order), and every attribute needs a dictionary (the LOADU32 rule);
+  // slot_of_column[c] maps wire column c to its schema slot.
+  const WireRowBlock& rows = request.rows;
+  const size_t arity = rows.attrs.size();
   std::vector<AttrId> attrs;
-  attrs.reserve(col_names.size());
-  for (const std::string& n : col_names) attrs.push_back(catalog->Intern(n));
+  attrs.reserve(arity);
+  for (const std::string& attr : rows.attrs) attrs.push_back(catalog_.Intern(attr));
   Schema schema{attrs};
-  if (schema.arity() != attrs.size()) {
+  if (schema.arity() != arity) {
     sink->Err(WireError::kParse, "duplicate attribute in delta header");
-    return false;
+    return;
   }
-  if (schema != bag_schema) {
-    sink->Err(WireError::kParse,
-              "delta attributes do not match the bag's schema");
-    return false;
+  if (schema != bags_[bag_index].schema()) {
+    sink->Err(WireError::kParse, "delta attributes do not match the bag's schema");
+    return;
   }
-  column_dict->assign(attrs.size(), nullptr);
-  slot_of_column->assign(attrs.size(), 0);
-  for (size_t c = 0; c < attrs.size(); ++c) {
-    (*column_dict)[c] = dicts.find_dict(attrs[c]);
-    if ((*column_dict)[c] == nullptr) {
+  std::vector<const ValueDictionary*> column_dict(arity);
+  std::vector<size_t> slot_of_column(arity);
+  for (size_t c = 0; c < arity; ++c) {
+    column_dict[c] = dicts_->find_dict(attrs[c]);
+    if (column_dict[c] == nullptr) {
       sink->Err(WireError::kState,
-                "u32 rows require a dictionary for attribute '" + col_names[c] +
+                "u32 rows require a dictionary for attribute '" + rows.attrs[c] +
                     "'; ship its DICT block first");
-      return false;
+      return;
     }
-    (*slot_of_column)[c] = *schema.IndexOf(attrs[c]);
+    slot_of_column[c] = *schema.IndexOf(attrs[c]);
   }
-  return true;
-}
-
-void ServerSession::FinishMutate(bool insert, ResponseSink* sink) {
-  const std::string verb = insert ? "INSERT" : "DELETE";
-  if (body_header_.size() < 3) {
-    sink->Err(WireError::kParse,
-              "usage: " + verb + " <bag-name> <attribute...>");
-    return;
-  }
-  const std::string& name = body_header_[1];
-  size_t bag_index = bag_names_.size();
-  for (size_t i = 0; i < bag_names_.size(); ++i) {
-    if (bag_names_[i] == name) {
-      bag_index = i;
-      break;
-    }
-  }
-  if (bag_index == bag_names_.size()) {
-    sink->Err(WireError::kState,
-              "bag '" + name + "' is not loaded in this session; " + verb +
-                  " mutates loaded bags (LOAD, LOADU32, or LOADSEG it first)");
-    return;
-  }
-  std::vector<std::string> col_names(body_header_.begin() + 2,
-                                     body_header_.end());
-  std::vector<const ValueDictionary*> column_dict;
-  std::vector<size_t> slot_of_column;
-  if (!ResolveMutateColumns(&catalog_, *dicts_, bags_[bag_index].schema(),
-                            col_names, &column_dict, &slot_of_column, sink)) {
-    return;
-  }
-  const size_t arity = col_names.size();
   std::vector<BagDelta> deltas;
-  size_t rows = 0;
+  deltas.reserve(rows.counts.size());
   std::vector<ValueId> row(arity);
-  for (const std::string& raw : body_lines_) {
-    std::vector<std::string> tokens = WireTokens(raw);
-    if (tokens.empty()) continue;  // blank / comment line
-    if (tokens.size() != arity + 2 || tokens[arity] != ":") {
-      sink->Err(WireError::kParse, verb + " rows are '<" +
-                                       std::to_string(arity) +
-                                       " ids> : <count>'");
-      return;
-    }
+  for (size_t r = 0; r < rows.counts.size(); ++r) {
     for (size_t c = 0; c < arity; ++c) {
-      Result<uint64_t> id = WireParseUint(tokens[c]);
-      if (!id.ok() || *id > std::numeric_limits<uint32_t>::max()) {
-        sink->Err(WireError::kParse, "row ids are u32 integers");
-        return;
-      }
-      if (*id >= column_dict[c]->size()) {
-        sink->Err(WireError::kRange,
-                  "row id " + tokens[c] + " was never issued for attribute '" +
-                      col_names[c] + "' (dictionary has " +
-                      std::to_string(column_dict[c]->size()) + " values)");
-        return;
-      }
-      row[slot_of_column[c]] = static_cast<ValueId>(*id);
-    }
-    Result<uint64_t> count = WireParseUint(tokens[arity + 1]);
-    if (!count.ok()) {
-      sink->ErrStatus(count.status());
-      return;
-    }
-    if (*count > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
-      sink->Err(WireError::kRange, "delta count exceeds int64");
-      return;
-    }
-    ++rows;
-    if (*count == 0) continue;  // zero rows net nothing, as in LOADU32
-    int64_t amount = static_cast<int64_t>(*count);
-    deltas.push_back({Tuple::OfIds(row), insert ? amount : -amount});
-  }
-  CommitDelta(bag_index, insert, std::move(deltas), rows, sink);
-}
-
-void ServerSession::HandleMutateFrame(bool insert, std::string_view payload,
-                                      ResponseSink* sink) {
-  const std::string verb = insert ? "INSERT" : "DELETE";
-  WireCursor cur(payload);
-  std::string_view name_view;
-  uint32_t ncols = 0;
-  if (!cur.String(&name_view) || !cur.U32(&ncols) || ncols == 0) {
-    sink->Err(WireError::kParse, "malformed " + verb + " frame header");
-    return;
-  }
-  std::vector<std::string> col_names;
-  col_names.reserve(ncols);
-  for (uint32_t c = 0; c < ncols; ++c) {
-    std::string_view col;
-    if (!cur.String(&col)) {
-      sink->Err(WireError::kParse, "malformed " + verb + " frame header");
-      return;
-    }
-    col_names.emplace_back(col);
-  }
-  uint64_t nrows = 0;
-  if (!cur.U64(&nrows)) {
-    sink->Err(WireError::kParse, "malformed " + verb + " frame header");
-    return;
-  }
-  // Fixed-width remainder, exactly the ROWS frame grammar.
-  uint64_t row_bytes = uint64_t{ncols} * 4 + 8;
-  if (nrows != cur.remaining() / row_bytes ||
-      cur.remaining() % row_bytes != 0) {
-    sink->Err(WireError::kParse,
-              verb + " frame declares " + std::to_string(nrows) +
-                  " rows but carries " + std::to_string(cur.remaining()) +
-                  " bytes of row data");
-    return;
-  }
-  std::string name(name_view);
-  size_t bag_index = bag_names_.size();
-  for (size_t i = 0; i < bag_names_.size(); ++i) {
-    if (bag_names_[i] == name) {
-      bag_index = i;
-      break;
-    }
-  }
-  if (bag_index == bag_names_.size()) {
-    sink->Err(WireError::kState,
-              "bag '" + name + "' is not loaded in this session; " + verb +
-                  " mutates loaded bags (LOAD, LOADU32, or LOADSEG it first)");
-    return;
-  }
-  std::vector<const ValueDictionary*> column_dict;
-  std::vector<size_t> slot_of_column;
-  if (!ResolveMutateColumns(&catalog_, *dicts_, bags_[bag_index].schema(),
-                            col_names, &column_dict, &slot_of_column, sink)) {
-    return;
-  }
-  std::vector<BagDelta> deltas;
-  deltas.reserve(nrows);
-  std::vector<ValueId> row(ncols);
-  for (uint64_t r = 0; r < nrows; ++r) {
-    for (uint32_t c = 0; c < ncols; ++c) {
-      uint32_t id = 0;
-      cur.U32(&id);
+      ValueId id = rows.ids[r * arity + c];
       if (id >= column_dict[c]->size()) {
         sink->Err(WireError::kRange,
                   "row id " + std::to_string(id) +
-                      " was never issued for attribute '" + col_names[c] +
+                      " was never issued for attribute '" + rows.attrs[c] +
                       "' (dictionary has " +
                       std::to_string(column_dict[c]->size()) + " values)");
         return;
       }
       row[slot_of_column[c]] = id;
     }
-    uint64_t count = 0;
-    cur.U64(&count);
+    const uint64_t count = rows.counts[r];
     if (count > static_cast<uint64_t>(std::numeric_limits<int64_t>::max())) {
       sink->Err(WireError::kRange, "delta count exceeds int64");
       return;
     }
-    if (count == 0) continue;
+    if (count == 0) continue;  // zero rows net nothing, as in LOADU32
     int64_t amount = static_cast<int64_t>(count);
     deltas.push_back({Tuple::OfIds(row), insert ? amount : -amount});
   }
-  CommitDelta(bag_index, insert, std::move(deltas),
-              static_cast<size_t>(nrows), sink);
+  CommitDelta(bag_index, insert, std::move(deltas), rows.counts.size(), sink);
 }
 
 void ServerSession::CommitDelta(size_t bag_index, bool insert,
@@ -1073,12 +780,7 @@ void ServerSession::CommitBatch(DeltaBatch batch, size_t rows,
   sink->Ok(label + " " + std::to_string(rows) + " rows staged");
 }
 
-void ServerSession::HandleBegin(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  if (tokens.size() != 1) {
-    sink->Err(WireError::kParse, "usage: BEGIN");
-    return;
-  }
+void ServerSession::Begin(ResponseSink* sink) {
   if (txn_active_) {
     sink->Err(WireError::kState,
               "a transaction is already open; COMMIT or RESET first");
@@ -1091,12 +793,7 @@ void ServerSession::HandleBegin(const std::vector<std::string>& tokens,
   sink->Ok("BEGIN");
 }
 
-void ServerSession::HandleCommit(const std::vector<std::string>& tokens,
-                                 ResponseSink* sink) {
-  if (tokens.size() != 1) {
-    sink->Err(WireError::kParse, "usage: COMMIT");
-    return;
-  }
+void ServerSession::Commit(ResponseSink* sink) {
   if (!txn_active_) {
     sink->Err(WireError::kState, "no transaction is open; BEGIN first");
     return;
@@ -1116,22 +813,7 @@ void ServerSession::HandleCommit(const std::vector<std::string>& tokens,
   CommitBatch(std::move(batch), rows, "COMMIT", sink);
 }
 
-void ServerSession::HandleHello(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  if (tokens.size() != 1) {
-    sink->Err(WireError::kParse, "usage: HELLO");
-    return;
-  }
-  sink->Ok("HELLO proto " + std::to_string(kWireProtocolVersion) + " frames " +
-           std::to_string(kWireFrameVersion));
-}
-
-void ServerSession::HandleUpgrade(const std::vector<std::string>& tokens,
-                                  ResponseSink* sink) {
-  if (tokens.size() != 2 || tokens[1] != "BINARY") {
-    sink->Err(WireError::kParse, "usage: UPGRADE BINARY");
-    return;
-  }
+void ServerSession::Upgrade(ResponseSink* sink) {
   if (mode_ == Mode::kBinary) {
     sink->Err(WireError::kState, "session is already in binary mode");
     return;
@@ -1141,13 +823,8 @@ void ServerSession::HandleUpgrade(const std::vector<std::string>& tokens,
   mode_ = Mode::kBinary;
 }
 
-void ServerSession::HandleLoadSeg(const std::vector<std::string>& tokens,
-                                  ResponseSink* sink) {
-  if (tokens.size() != 2) {
-    sink->Err(WireError::kParse, "usage: LOADSEG <path>");
-    return;
-  }
-  Result<SegmentReader> mapped = SegmentReader::Map(tokens[1]);
+void ServerSession::LoadSeg(const std::string& path, ResponseSink* sink) {
+  Result<SegmentReader> mapped = SegmentReader::Map(path);
   if (!mapped.ok()) {
     sink->ErrStatus(mapped.status());
     return;
@@ -1238,43 +915,23 @@ void ServerSession::HandleLoadSeg(const std::vector<std::string>& tokens,
   // When this segment IS the whole loaded state, a later SEAL can
   // register it as the collection's lazy reload source (a reload
   // re-derives bit-identical results); AddBag cleared any prior staging.
-  if (was_empty) staged_seg_path_ = tokens[1];
+  if (was_empty) staged_seg_path_ = path;
   sink->Ok("LOADSEG " + std::to_string(reader->num_bags()) + " bags " +
            std::to_string(total_support) + " rows");
 }
 
-void ServerSession::HandleSeal(const std::vector<std::string>& tokens,
-                               ResponseSink* sink) {
-  bool canonical = false;
-  bool full = false;
-  size_t num_threads = 1;
-  for (size_t i = 1; i < tokens.size(); ++i) {
-    if (tokens[i] == "CANONICAL") {
-      canonical = true;
-    } else if (tokens[i] == "FULL") {
-      full = true;
-    } else if (tokens[i] == "THREADS" && i + 1 < tokens.size()) {
-      Result<uint64_t> n = WireParseUint(tokens[i + 1]);
-      if (!n.ok() || *n == 0) {
-        sink->Err(WireError::kParse, "THREADS needs a positive integer");
-        return;
-      }
-      // One protocol line must not be able to crash the daemon: spawning
-      // an absurd worker count throws std::system_error out of
-      // std::thread and terminates the process for every client.
-      if (*n > kMaxSealThreads) {
-        sink->Err(WireError::kRange,
-                  "THREADS must be at most " + std::to_string(kMaxSealThreads));
-        return;
-      }
-      num_threads = static_cast<size_t>(*n);
-      ++i;
-    } else {
-      sink->Err(WireError::kParse,
-                "usage: SEAL [CANONICAL] [FULL] [THREADS <n>]");
-      return;
-    }
+void ServerSession::Seal(const WireRequest& request, ResponseSink* sink) {
+  const bool canonical = request.canonical;
+  const bool full = request.full;
+  // One protocol line must not be able to crash the daemon: spawning an
+  // absurd worker count throws std::system_error out of std::thread and
+  // terminates the process for every client.
+  if (request.threads > kMaxSealThreads) {
+    sink->Err(WireError::kRange,
+              "THREADS must be at most " + std::to_string(kMaxSealThreads));
+    return;
   }
+  const size_t num_threads = static_cast<size_t>(request.threads);
   if (bags_.empty()) {
     sink->Err(WireError::kState, "no bags loaded; LOAD or LOADU32 first");
     return;
@@ -1346,13 +1003,7 @@ void ServerSession::HandleSeal(const std::vector<std::string>& tokens,
   sink->Ok(rest);
 }
 
-void ServerSession::HandleReset(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  bool hard = tokens.size() == 2 && tokens[1] == "HARD";
-  if (tokens.size() > 2 || (tokens.size() == 2 && !hard)) {
-    sink->Err(WireError::kParse, "usage: RESET [HARD]");
-    return;
-  }
+void ServerSession::Reset(bool hard, ResponseSink* sink) {
   bag_names_.clear();
   bags_.clear();
   bag_epochs_.clear();
@@ -1373,18 +1024,10 @@ void ServerSession::HandleReset(const std::vector<std::string>& tokens,
   sink->Ok(hard ? "RESET HARD" : "RESET");
 }
 
-void ServerSession::HandleAttach(const std::vector<std::string>& tokens,
-                                 ResponseSink* sink) {
-  if (tokens.size() != 2) {
-    sink->Err(WireError::kParse, "usage: ATTACH <collection>");
-    return;
-  }
-  const std::string& name = tokens[1];
+void ServerSession::Attach(const std::string& name, ResponseSink* sink) {
   // Collection names share the bag-name shape rules: non-empty, not all
   // digits (so STATS <name> and future addressing stay unambiguous).
-  bool all_digits = !name.empty();
-  for (char c : name) all_digits = all_digits && c >= '0' && c <= '9';
-  if (name.empty() || all_digits) {
+  if (ReservedName(name)) {
     sink->Err(WireError::kParse,
               "collection name '" + name + "' must not be all digits");
     return;
@@ -1403,12 +1046,7 @@ void ServerSession::HandleAttach(const std::vector<std::string>& tokens,
   sink->Ok("ATTACH " + name);
 }
 
-void ServerSession::HandleDetach(const std::vector<std::string>& tokens,
-                                 ResponseSink* sink) {
-  if (tokens.size() != 1) {
-    sink->Err(WireError::kParse, "usage: DETACH");
-    return;
-  }
+void ServerSession::Detach(ResponseSink* sink) {
   if (collection_.get() != registry_->Default().get()) {
     collection_ = registry_->Default();
     ForgetSealLineage();
@@ -1416,41 +1054,30 @@ void ServerSession::HandleDetach(const std::vector<std::string>& tokens,
   sink->Ok("DETACH");
 }
 
-void ServerSession::HandleDrop(const std::vector<std::string>& tokens,
-                               ResponseSink* sink) {
-  if (tokens.size() != 2) {
-    sink->Err(WireError::kParse, "usage: DROP <bag-name>");
+void ServerSession::Drop(const std::string& name, ResponseSink* sink) {
+  const size_t i = FindBag(name);
+  if (i == bag_names_.size()) {
+    sink->Err(WireError::kState, "bag '" + name + "' is not loaded");
     return;
   }
-  const std::string& name = tokens[1];
-  for (size_t i = 0; i < bag_names_.size(); ++i) {
-    if (bag_names_[i] != name) continue;
-    bag_names_.erase(bag_names_.begin() + i);
-    bags_.erase(bags_.begin() + i);
-    bag_epochs_.erase(bag_epochs_.begin() + i);
-    // The loaded set no longer matches any one segment; re-LOADing the
-    // same name gets a fresh epoch, which is what marks it changed for
-    // the next incremental SEAL.
-    staged_seg_path_.clear();
-    sink->Ok("DROP " + name);
-    return;
-  }
-  sink->Err(WireError::kState, "bag '" + name + "' is not loaded");
+  bag_names_.erase(bag_names_.begin() + i);
+  bags_.erase(bags_.begin() + i);
+  bag_epochs_.erase(bag_epochs_.begin() + i);
+  // The loaded set no longer matches any one segment; re-LOADing the
+  // same name gets a fresh epoch, which is what marks it changed for the
+  // next incremental SEAL.
+  staged_seg_path_.clear();
+  sink->Ok("DROP " + name);
 }
 
-void ServerSession::HandleStats(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  if (tokens.size() > 2) {
-    sink->Err(WireError::kParse, "usage: STATS [<collection>]");
-    return;
-  }
-  if (tokens.size() == 2) {
+void ServerSession::Stats(const std::string& collection, ResponseSink* sink) {
+  if (!collection.empty()) {
     // Per-collection STATS: registry-level accounting, no snapshot
     // access (Peek semantics — reporting must not trigger a reload).
     std::shared_ptr<CollectionRegistry::Collection> c =
-        registry_->Find(tokens[1]);
+        registry_->Find(collection);
     if (c == nullptr) {
-      sink->Err(WireError::kState, "no collection named '" + tokens[1] + "'");
+      sink->Err(WireError::kState, "no collection named '" + collection + "'");
       return;
     }
     CollectionRegistry::CollectionStats s = registry_->Stats(c.get());
@@ -1496,26 +1123,9 @@ void ServerSession::HandleStats(const std::vector<std::string>& tokens,
   sink->Stats(kv);
 }
 
-std::shared_ptr<const EngineSnapshot> ServerSession::SnapshotOrErr(
-    ResponseSink* sink) {
-  Result<std::shared_ptr<const EngineSnapshot>> snapshot =
-      registry_->Acquire(collection_.get());
-  if (!snapshot.ok()) {
-    // Evicted with no reload source, or the segment reload failed.
-    sink->ErrStatus(snapshot.status());
-    return nullptr;
-  }
-  if (*snapshot == nullptr) {
-    sink->Err(WireError::kState, "no sealed engine; SEAL a collection first");
-  }
-  return *snapshot;
-}
-
-bool ServerSession::HasBag(const std::string& name) const {
-  for (const std::string& existing : bag_names_) {
-    if (existing == name) return true;
-  }
-  return false;
+size_t ServerSession::FindBag(const std::string& name) const {
+  return std::find(bag_names_.begin(), bag_names_.end(), name) -
+         bag_names_.begin();
 }
 
 void ServerSession::AddBag(std::string name, Bag bag) {
@@ -1532,136 +1142,6 @@ void ServerSession::ForgetSealLineage() {
   last_seal_canonical_ = false;
   last_seal_dicts_ = nullptr;
   staged_seg_path_.clear();
-}
-
-void ServerSession::HandleTwoBag(const std::vector<std::string>& tokens,
-                                 ResponseSink* sink) {
-  if (tokens.size() != 3) {
-    sink->Err(WireError::kParse, "usage: TWOBAG <i> <j>");
-    return;
-  }
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  Result<size_t> i = snapshot->ResolveBag(tokens[1]);
-  Result<size_t> j = snapshot->ResolveBag(tokens[2]);
-  if (!i.ok() || !j.ok()) {
-    sink->ErrStatus(i.ok() ? j.status() : i.status());
-    return;
-  }
-  registry_->RecordQuery();
-  Result<bool> verdict =
-      RunOn(query_pool_, [&] { return snapshot->TwoBag(*i, *j); });
-  if (!verdict.ok()) {
-    sink->ErrStatus(verdict.status());
-    return;
-  }
-  sink->Verdict(*verdict, {});
-}
-
-void ServerSession::QueryTwoBag(size_t i, size_t j, ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  Result<bool> verdict =
-      RunOn(query_pool_, [&] { return snapshot->TwoBag(i, j); });
-  if (!verdict.ok()) {
-    sink->ErrStatus(verdict.status());
-    return;
-  }
-  sink->Verdict(*verdict, {});
-}
-
-void ServerSession::HandlePairwise(ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  const PairwiseVerdict& verdict = snapshot->Pairwise();  // sealed at Build
-  if (verdict.consistent) {
-    sink->Verdict(true, {});
-  } else {
-    sink->Verdict(false,
-                  {verdict.witness_pair.first, verdict.witness_pair.second});
-  }
-}
-
-void ServerSession::HandleGlobal(ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  Result<bool> verdict = RunOn(query_pool_, [&] { return snapshot->Global(); });
-  if (!verdict.ok()) {
-    sink->ErrStatus(verdict.status());
-    return;
-  }
-  sink->Verdict(*verdict, {});
-}
-
-void ServerSession::HandleKWise(const std::vector<std::string>& tokens,
-                                ResponseSink* sink) {
-  if (tokens.size() != 2) {
-    sink->Err(WireError::kParse, "usage: KWISE <k>");
-    return;
-  }
-  Result<uint64_t> k = WireParseUint(tokens[1]);
-  if (!k.ok()) {
-    sink->ErrStatus(k.status());
-    return;
-  }
-  QueryKWise(static_cast<size_t>(*k), sink);
-}
-
-void ServerSession::QueryKWise(size_t k, ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  std::optional<std::vector<size_t>> failing;
-  Result<bool> verdict =
-      RunOn(query_pool_, [&] { return snapshot->KWise(k, &failing); });
-  if (!verdict.ok()) {
-    sink->ErrStatus(verdict.status());
-    return;
-  }
-  if (*verdict) {
-    sink->Verdict(true, {});
-  } else {
-    sink->Verdict(false, *failing);
-  }
-}
-
-void ServerSession::HandleWitness(const std::vector<std::string>& tokens,
-                                  ResponseSink* sink) {
-  bool minimal = tokens.size() == 4 && tokens[3] == "MINIMAL";
-  if (tokens.size() != 3 && !minimal) {
-    sink->Err(WireError::kParse, "usage: WITNESS <i> <j> [MINIMAL]");
-    return;
-  }
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  Result<size_t> i = snapshot->ResolveBag(tokens[1]);
-  Result<size_t> j = snapshot->ResolveBag(tokens[2]);
-  if (!i.ok() || !j.ok()) {
-    sink->ErrStatus(i.ok() ? j.status() : i.status());
-    return;
-  }
-  QueryWitness(*i, *j, minimal, sink);
-}
-
-void ServerSession::QueryWitness(size_t i, size_t j, bool minimal,
-                                 ResponseSink* sink) {
-  std::shared_ptr<const EngineSnapshot> snapshot = SnapshotOrErr(sink);
-  if (snapshot == nullptr) return;
-  registry_->RecordQuery();
-  Result<std::optional<Bag>> witness =
-      RunOn(query_pool_, [&] { return snapshot->Witness(i, j, minimal); });
-  if (!witness.ok()) {
-    sink->ErrStatus(witness.status());
-    return;
-  }
-  if (!witness->has_value()) {
-    sink->WitnessNone();
-    return;
-  }
-  sink->WitnessBag(**witness, *snapshot);
 }
 
 }  // namespace bagc

@@ -1,34 +1,38 @@
 // Per-client session state machine of the bagcd protocol. A session is
 // transport-agnostic: the socket layer (bagcd_server.cc), the in-process
-// test harnesses, and the server_session benchmark feed it raw bytes
-// (HandleData) or one text line at a time (HandleLine) and collect
-// complete responses. The session owns the client's interning state —
-// attribute catalog, live DictionarySet, loaded-but-unsealed bags —
-// while every query is answered from the shared immutable EngineSnapshot
-// currently published for the session's *collection* (ATTACH binds one;
-// "default" before the first ATTACH), so N sessions hammer one sealed
-// engine concurrently and a RESET or re-SEAL swaps generations under
-// them without a pause. SEAL publishes into the bound collection's
-// chain; when the previous generation of that chain was sealed by this
-// session and only k of m bags changed since (DROP + re-LOAD marks a
-// bag changed), the seal reuses the untouched bags' sealed state —
-// O(k·m) marginal fills instead of O(m²) ("SEAL FULL" opts out).
+// test harnesses, and the benchmarks feed it raw bytes (HandleData) and
+// collect complete responses. The session owns the client's interning
+// state — attribute catalog, live DictionarySet, loaded-but-unsealed
+// bags — while every query is answered from the shared immutable
+// EngineSnapshot currently published for the session's *collection*
+// (ATTACH binds one; "default" before the first ATTACH), so N sessions
+// hammer one sealed engine concurrently and a RESET or re-SEAL swaps
+// generations under them without a pause. SEAL publishes into the bound
+// collection's chain; when the previous generation of that chain was
+// sealed by this session and only k of m bags changed since (DROP +
+// re-LOAD marks a bag changed), the seal reuses the untouched bags'
+// sealed state — O(k·m) marginal fills instead of O(m²) ("SEAL FULL"
+// opts out).
 //
 // The dictionary-aware hot path: a client ships each attribute's
-// dictionary once (DICT block, ids 0..n-1 in shipped order), then
-// streams LOADU32 rows of raw ids for the rest of the session. Those ids
-// stay valid for the session's whole lifetime — SEAL hands the engine a
-// private clone of the dictionaries (canonicalized there when requested),
-// never the live set — so the server does no string interning, hashing,
-// or comparison on the streaming path (see ParseBagU32 in bag/bag_io.h).
+// dictionary once (DICT, ids 0..n-1 in shipped order), then streams u32
+// id rows (LOADU32 blocks or ROWS frames) for the rest of the session.
+// Those ids stay valid for the session's whole lifetime — SEAL hands the
+// engine a private clone of the dictionaries (canonicalized there when
+// requested), never the live set — so the server does no string
+// interning, hashing, or comparison on the streaming path: both framings
+// ingest through BagFromU32Columns (bag/bag_io.h).
 //
 // Framing: a session starts in text mode (lines). "UPGRADE BINARY"
 // switches both directions to the length-prefixed frames of
 // server/protocol.h after the OK response; a CMD frame carrying "TEXT"
-// switches back after its OK frame. Every handler emits through a
-// ResponseSink, so the text encoder (byte-identical to protocol v1 —
-// the docs/PROTOCOL.md transcript pins it) and the binary encoder share
-// one set of handlers and cannot diverge semantically.
+// switches back after its OK frame. Each complete request — a command
+// line with its body, or one frame — is decoded into a WireRequest
+// (DecodeTextRequest / DecodeFrameRequest) and run by Execute, which
+// holds the only verb dispatch, the transaction gate, and the query
+// path; Execute answers through a ResponseSink, whose text encoder
+// (byte-identical to protocol v1 — the docs/PROTOCOL.md transcripts pin
+// it) and binary encoder are the only framing-specific response code.
 #pragma once
 
 #include <memory>
@@ -103,15 +107,9 @@ class ServerSession {
   /// kContinue outcome is returned.
   Outcome HandleData(std::string_view data, std::string* out);
 
-  /// Feeds one text-mode input line (without its trailing newline).
-  /// Appends zero or more complete response lines to *out: zero while a
-  /// body is being streamed or for blank/comment lines, one for
-  /// single-line responses, several for WITNESS/STATS bodies. Legacy
-  /// entry point for tests and benchmarks; HandleData is the transport's.
-  Outcome HandleLine(const std::string& line, std::vector<std::string>* out);
-
-  /// Convenience for tests and benchmarks: feeds every line of `text`
-  /// and returns all response lines.
+  /// Convenience for tests and benchmarks: feeds `text` (a text-mode
+  /// script; a missing final newline is supplied) through HandleData and
+  /// returns the response lines.
   std::vector<std::string> HandleScript(const std::string& text);
 
   /// True after a successful UPGRADE BINARY (and before a CMD "TEXT").
@@ -127,40 +125,26 @@ class ServerSession {
 
  private:
   enum class Mode { kText, kBinary };
-  // Body-collection modes (request side, text framing only).
-  enum class Body { kNone, kDict, kLoadText, kLoadU32, kInsert, kDelete };
 
-  // Dispatch for a stripped, non-empty command line (text line or CMD
-  // frame payload; body-carrying commands are rejected in binary mode).
-  Outcome HandleCommand(const std::vector<std::string>& tokens,
-                        ResponseSink* sink);
-  // Dispatch for one complete binary frame.
-  Outcome HandleFrame(uint8_t opcode, std::string_view payload,
-                      ResponseSink* sink);
+  // Runs one decoded request: the transaction gate, then the verb.
+  Outcome Execute(const WireRequest& request, ResponseSink* sink);
 
-  // END seen: parse and apply the collected body, emit the response.
-  void FinishBody(ResponseSink* sink);
-  void FinishDict(ResponseSink* sink);
-  void FinishLoad(ResponseSink* sink);
-  void FinishMutate(bool insert, ResponseSink* sink);
+  void LoadDict(const WireRequest& request, ResponseSink* sink);
+  // LOAD (external tokens, interned) and LOADU32 (ids, validated).
+  void LoadBag(const WireRequest& request, ResponseSink* sink);
+  void LoadSeg(const std::string& path, ResponseSink* sink);
+  // INSERT/DELETE: validates the row block against the loaded bag and
+  // the dictionaries, then buffers it (open transaction) or commits it.
+  void Mutate(const WireRequest& request, ResponseSink* sink);
 
-  // Binary bodies: DICT and LOADU32 equivalents carried in one frame.
-  void HandleDictFrame(std::string_view payload, ResponseSink* sink);
-  void HandleRowsFrame(std::string_view payload, ResponseSink* sink);
-  // INSERT/DELETE delta carried in one ROWS-grammar frame.
-  void HandleMutateFrame(bool insert, std::string_view payload,
-                         ResponseSink* sink);
-
-  // Shared INSERT/DELETE core (text body and binary frame both land
-  // here with parsed, dictionary-validated deltas): applies the signed
-  // rows to the loaded bag and — when the bound collection currently
-  // serves a generation this session sealed and nothing else changed —
-  // derives and publishes the next generation incrementally
-  // (EngineSnapshot::BuildDelta, untouched bags adopted). Without that
-  // lineage the mutation stays session-local ("staged") until the next
-  // SEAL. All-or-nothing either way: a DELETE below zero multiplicity
-  // answers E_RANGE with the bag, the lineage, and the published
-  // generation untouched.
+  // Shared INSERT/DELETE commit: applies the signed rows to the loaded
+  // bag and — when the bound collection currently serves a generation
+  // this session sealed and nothing else changed — derives and publishes
+  // the next generation incrementally (EngineSnapshot::BuildDelta,
+  // untouched bags adopted). Without that lineage the mutation stays
+  // session-local ("staged") until the next SEAL. All-or-nothing either
+  // way: a DELETE below zero multiplicity answers E_RANGE with the bag,
+  // the lineage, and the published generation untouched.
   void CommitDelta(size_t bag_index, bool insert, std::vector<BagDelta> deltas,
                    size_t rows, ResponseSink* sink);
 
@@ -174,39 +158,30 @@ class ServerSession {
   void CommitBatch(DeltaBatch batch, size_t rows, const std::string& label,
                    ResponseSink* sink);
 
-  void HandleBegin(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleCommit(const std::vector<std::string>& tokens, ResponseSink* sink);
+  void Begin(ResponseSink* sink);
+  void Commit(ResponseSink* sink);
+  void Upgrade(ResponseSink* sink);
+  void Attach(const std::string& name, ResponseSink* sink);
+  void Detach(ResponseSink* sink);
+  void Drop(const std::string& name, ResponseSink* sink);
+  void Seal(const WireRequest& request, ResponseSink* sink);
+  void Reset(bool hard, ResponseSink* sink);
+  void Stats(const std::string& collection, ResponseSink* sink);
 
-  void HandleHello(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleUpgrade(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleAttach(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleDetach(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleDrop(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleSeal(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleReset(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleLoadSeg(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleStats(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleTwoBag(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandlePairwise(ResponseSink* sink);
-  void HandleGlobal(ResponseSink* sink);
-  void HandleKWise(const std::vector<std::string>& tokens, ResponseSink* sink);
-  void HandleWitness(const std::vector<std::string>& tokens, ResponseSink* sink);
-
-  // Shared query cores (text handlers parse tokens, binary frames decode
-  // integers; both land here).
-  void QueryTwoBag(size_t i, size_t j, ResponseSink* sink);
-  void QueryKWise(size_t k, ResponseSink* sink);
-  void QueryWitness(size_t i, size_t j, bool minimal, ResponseSink* sink);
+  // A query's snapshot: acquired once from the bound collection (lazily
+  // reloaded after an eviction), with TWOBAG/WITNESS operands resolved
+  // against that same generation into *i and *j. Emits the error and
+  // returns null when the query cannot run.
+  std::shared_ptr<const EngineSnapshot> PinQuery(const WireRequest& request,
+                                                 size_t* i, size_t* j,
+                                                 ResponseSink* sink);
 
   // Validates a new bag name (shape + uniqueness); emits the error and
   // returns false when unusable.
   bool CheckNewBagName(const std::string& name, ResponseSink* sink);
 
-  // The bound collection's current snapshot (lazily reloaded from its
-  // segment after an eviction), or an E_STATE error via *sink.
-  std::shared_ptr<const EngineSnapshot> SnapshotOrErr(ResponseSink* sink);
-  // True when `name` is already loaded (session-local, pre-seal).
-  bool HasBag(const std::string& name) const;
+  // Index of the loaded bag `name`, or bag_names_.size() when absent.
+  size_t FindBag(const std::string& name) const;
   // Registers a freshly loaded bag (name/bag/change-epoch in lockstep).
   void AddBag(std::string name, Bag bag);
   // Invalidates the incremental-seal linkage and the staged segment
@@ -269,10 +244,10 @@ class ServerSession {
   Mode mode_ = Mode::kText;
   std::string inbuf_;  // HandleData's partial line / partial frame buffer
 
-  // In-flight request body (text framing).
-  Body body_ = Body::kNone;
-  std::vector<std::string> body_header_;  // tokens of the opening command
-  std::vector<std::string> body_lines_;   // raw body lines (verbatim)
+  // In-flight text request body: the opening command's tokens (empty
+  // when no body is open) and the raw body lines up to END.
+  std::vector<std::string> body_header_;
+  std::vector<std::string> body_lines_;
   size_t body_bytes_ = 0;       // bytes buffered in body_lines_
   bool body_overflow_ = false;  // block exceeded a body cap -> E_RANGE
 };

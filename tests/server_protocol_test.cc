@@ -32,6 +32,47 @@ std::vector<std::string> Feed(ServerSession* session, const std::string& script)
   return session->HandleScript(script);
 }
 
+std::string Frame(uint8_t opcode, const std::string& payload) {
+  std::string f;
+  WireAppendFrame(&f, opcode, payload);
+  return f;
+}
+
+// Splits a binary session's output into (opcode, payload) frames.
+std::vector<std::pair<uint8_t, std::string>> ReadFrames(const std::string& out) {
+  std::vector<std::pair<uint8_t, std::string>> frames;
+  size_t pos = 0;
+  while (pos + kWireFrameHeaderBytes <= out.size()) {
+    WireCursor header(std::string_view(out).substr(pos, kWireFrameHeaderBytes));
+    uint32_t len = 0;
+    uint8_t opcode = 0;
+    EXPECT_TRUE(header.U32(&len) && header.U8(&opcode));
+    frames.emplace_back(opcode, out.substr(pos + kWireFrameHeaderBytes, len));
+    pos += kWireFrameHeaderBytes + len;
+  }
+  EXPECT_EQ(pos, out.size());
+  return frames;
+}
+
+// A ROWS-grammar payload (ROWS, INSERT and DELETE frames): one row of
+// ids per entry of `rows`, each with its count.
+using IdRows = std::vector<std::pair<std::vector<uint32_t>, uint64_t>>;
+
+std::string RowsPayload(const std::string& bag,
+                        const std::vector<std::string>& attrs,
+                        const IdRows& rows) {
+  std::string payload;
+  WireAppendString(&payload, bag);
+  WireAppendU32(&payload, static_cast<uint32_t>(attrs.size()));
+  for (const std::string& attr : attrs) WireAppendString(&payload, attr);
+  WireAppendU64(&payload, rows.size());
+  for (const auto& [ids, count] : rows) {
+    for (uint32_t id : ids) WireAppendU32(&payload, id);
+    WireAppendU64(&payload, count);
+  }
+  return payload;
+}
+
 // A tiny consistent two-bag script: dictionaries, one u32-streamed bag,
 // one text bag, seal.
 constexpr const char* kSetupScript = R"(DICT item 3
@@ -1116,6 +1157,274 @@ TEST(ServerSessionTest, TransactionFramesRoundTripAndRefuseTrailingBytes) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].first, kFrameErr);
   EXPECT_NE(frames[0].second.find("no transaction is open"), std::string::npos);
+}
+
+TEST(ServerSessionTest, DictAndRowsFramesObeyTheTransactionGate) {
+  CollectionRegistry registry;
+  ServerSession session(&registry, nullptr);
+  Feed(&session, kSetupScript);
+  std::string raw;
+  session.HandleData("UPGRADE BINARY\n", &raw);
+  ASSERT_TRUE(session.binary_mode());
+
+  std::string dict;
+  WireAppendString(&dict, "other");
+  WireAppendU32(&dict, 1);
+  WireAppendString(&dict, "x");
+  const std::string rows = RowsPayload("y", {"item"}, {{{0}, 1}});
+
+  // Inside BEGIN/COMMIT the frame forms of DICT and LOADU32 are refused
+  // exactly as the text blocks are (PROTOCOL.md, BEGIN / COMMIT).
+  raw.clear();
+  session.HandleData(Frame(kFrameBegin, "") + Frame(kFrameDict, dict) +
+                         Frame(kFrameRows, rows) + Frame(kFrameCommit, ""),
+                     &raw);
+  auto frames = ReadFrames(raw);
+  ASSERT_EQ(frames.size(), 4u);
+  for (size_t f : {1, 2}) {
+    ASSERT_EQ(frames[f].first, kFrameErr) << frames[f].second;
+    EXPECT_EQ(frames[f].second[0], static_cast<char>(WireErrorTag(WireError::kState)));
+    EXPECT_NE(frames[f].second.find("not allowed inside a transaction"),
+              std::string::npos)
+        << frames[f].second;
+  }
+  EXPECT_EQ(frames[3].second, "COMMIT 0 rows");
+
+  // Nothing was staged: the dictionary and the bag are still new to the
+  // session, and the bag set is the two sealed bags.
+  raw.clear();
+  session.HandleData(Frame(kFrameCmd, "SEAL") + Frame(kFrameDict, dict) +
+                         Frame(kFrameRows, rows),
+                     &raw);
+  frames = ReadFrames(raw);
+  ASSERT_EQ(frames.size(), 3u);
+  EXPECT_EQ(frames[0].second, "SEAL 2 bags 2 reused");
+  EXPECT_EQ(frames[1].second, "DICT other 1");
+  EXPECT_EQ(frames[2].second, "LOADU32 y 1 rows");
+}
+
+TEST(ServerSessionTest, EachQueryTouchesItsCollectionOnce) {
+  // Per-collection `hits` counts snapshot acquisitions; one query is one
+  // acquisition whatever its verb or framing, so its operands resolve
+  // against the same generation it runs on.
+  struct Query {
+    std::string line;   // text form
+    std::string frame;  // binary form
+  };
+  std::string twobag, witness, minimal, kwise;
+  WireAppendU32(&twobag, 0);
+  WireAppendU32(&twobag, 1);
+  witness = twobag + std::string(1, '\0');
+  minimal = twobag + std::string(1, '\1');
+  WireAppendU32(&kwise, 2);
+  const std::vector<Query> queries = {
+      {"TWOBAG 0 1", Frame(kFrameTwoBag, twobag)},
+      {"TWOBAG orders stock", Frame(kFrameCmd, "TWOBAG orders stock")},
+      {"PAIRWISE", Frame(kFramePairwise, "")},
+      {"GLOBAL", Frame(kFrameGlobal, "")},
+      {"KWISE 2", Frame(kFrameKWise, kwise)},
+      {"WITNESS 0 1", Frame(kFrameWitness, witness)},
+      {"WITNESS 0 1 MINIMAL", Frame(kFrameWitness, minimal)},
+      {"WITNESS orders stock", Frame(kFrameCmd, "WITNESS orders stock")},
+  };
+  for (bool binary : {false, true}) {
+    CollectionRegistry registry;
+    ServerSession session(&registry, nullptr);
+    Feed(&session, kSetupScript);
+    std::string raw;
+    if (binary) session.HandleData("UPGRADE BINARY\n", &raw);
+    ServerSession observer(&registry, nullptr);  // STATS <name> never touches
+    auto hits = [&observer] {
+      for (const std::string& line : observer.HandleScript("STATS default\n")) {
+        if (line.rfind("hits ", 0) == 0) return std::stoull(line.substr(5));
+      }
+      ADD_FAILURE() << "no hits key";
+      return 0ull;
+    };
+    for (const Query& q : queries) {
+      unsigned long long before = hits();
+      raw.clear();
+      session.HandleData(binary ? q.frame : q.line + "\n", &raw);
+      EXPECT_EQ(hits(), before + 1)
+          << q.line << (binary ? " (binary)" : " (text)");
+    }
+  }
+}
+
+// Twin sessions on twin registries, one framing each: every request runs
+// through both (EncodeTextRequest / EncodeFrameRequest), and the binary
+// answers rendered by FrameToLines must equal the text answers line for
+// line. Frame-grammar errors name their framing, so those compare the
+// error class only.
+TEST(ServerSessionTest, EveryVerbAnswersAlikeInBothFramings) {
+  CollectionRegistry text_registry;
+  CollectionRegistry binary_registry;
+  ServerSession text(&text_registry, nullptr);
+  ServerSession binary(&binary_registry, nullptr);
+  std::string raw;
+  binary.HandleData("UPGRADE BINARY\n", &raw);
+  ASSERT_TRUE(binary.binary_mode());
+
+  auto text_lines = [&text](const std::string& bytes) {
+    std::string out;
+    text.HandleData(bytes, &out);
+    std::vector<std::string> lines;
+    std::istringstream iss(out);
+    for (std::string line; std::getline(iss, line);) lines.push_back(line);
+    return lines;
+  };
+  auto binary_lines = [&binary](const std::string& bytes) {
+    std::string out;
+    binary.HandleData(bytes, &out);
+    std::vector<std::string> lines;
+    for (const auto& [opcode, payload] : ReadFrames(out)) {
+      Result<std::vector<std::string>> rendered = FrameToLines(opcode, payload);
+      EXPECT_TRUE(rendered.ok()) << rendered.status().ToString();
+      if (rendered.ok()) lines.insert(lines.end(), rendered->begin(), rendered->end());
+    }
+    return lines;
+  };
+  // Runs one request through both sessions; returns the text answer.
+  auto both = [&](const WireRequest& request) {
+    std::string line = EncodeTextRequest(request);
+    line = line.substr(0, line.find('\n'));
+    Result<std::string> frame = EncodeFrameRequest(request);
+    EXPECT_TRUE(frame.ok()) << line << ": " << frame.status().ToString();
+    std::vector<std::string> want = text_lines(EncodeTextRequest(request));
+    EXPECT_EQ(binary_lines(frame.ok() ? *frame : ""), want) << line;
+    EXPECT_FALSE(want.empty()) << line;
+    return want.empty() ? std::string() : want.front();
+  };
+  auto same_class = [&](const std::string& text_bytes,
+                        const std::string& frame_bytes) {
+    std::vector<std::string> t = text_lines(text_bytes);
+    std::vector<std::string> b = binary_lines(frame_bytes);
+    ASSERT_EQ(t.size(), 1u);
+    ASSERT_EQ(b.size(), 1u);
+    EXPECT_EQ(t[0].substr(0, t[0].find(' ', 4)), b[0].substr(0, b[0].find(' ', 4)))
+        << t[0] << " vs " << b[0];
+    EXPECT_EQ(t[0].rfind("ERR E_", 0), 0u) << t[0];
+  };
+
+  auto verb = [](WireVerb v) {
+    WireRequest r;
+    r.verb = v;
+    return r;
+  };
+  auto dict = [&](const std::string& attr, std::vector<std::string> values) {
+    WireRequest r = verb(WireVerb::kDict);
+    r.name = attr;
+    r.values = std::move(values);
+    return r;
+  };
+  auto rows = [&](WireVerb v, const std::string& bag, std::vector<std::string> attrs,
+                  std::vector<uint32_t> ids, std::vector<uint64_t> counts) {
+    WireRequest r = verb(v);
+    r.name = bag;
+    r.rows.attrs = std::move(attrs);
+    r.rows.ids = std::move(ids);
+    r.rows.counts = std::move(counts);
+    return r;
+  };
+  auto pair = [&](WireVerb v, WireBagRef i, WireBagRef j, bool minimal = false) {
+    WireRequest r = verb(v);
+    r.bag_i = std::move(i);
+    r.bag_j = std::move(j);
+    r.minimal = minimal;
+    return r;
+  };
+  auto index = [](uint64_t i) { return WireBagRef{i, ""}; };
+  auto named = [](const std::string& n) { return WireBagRef{0, n}; };
+  auto expect_class = [](const std::string& line, const char* code) {
+    EXPECT_EQ(line.rfind(std::string("ERR ") + code, 0), 0u) << line;
+  };
+
+  // DICT, then LOADU32 / ROWS (one bag with its header permuted).
+  EXPECT_EQ(both(dict("item", {"apple", "banana", "cherry"})), "OK DICT item 3");
+  EXPECT_EQ(both(dict("store", {"downtown", "uptown"})), "OK DICT store 2");
+  EXPECT_EQ(both(rows(WireVerb::kLoadU32, "orders", {"item", "store"},
+                      {0, 0, 1, 1}, {2, 1})),
+            "OK LOADU32 orders 2 rows");
+  EXPECT_EQ(both(rows(WireVerb::kLoadU32, "stock", {"store", "item"},
+                      {0, 0, 1, 1}, {2, 1})),
+            "OK LOADU32 stock 2 rows");
+  // Load errors: an id never issued, a duplicate tuple, a taken name, a
+  // reserved name, an attribute without a dictionary.
+  expect_class(both(rows(WireVerb::kLoadU32, "bad", {"item", "store"}, {9, 0}, {1})),
+               "E_RANGE");
+  expect_class(both(rows(WireVerb::kLoadU32, "dup", {"item", "store"},
+                         {0, 0, 0, 0}, {1, 2})),
+               "E_PARSE");
+  expect_class(both(rows(WireVerb::kLoadU32, "orders", {"item"}, {0}, {1})),
+               "E_STATE");
+  expect_class(both(rows(WireVerb::kLoadU32, "123", {"item"}, {0}, {1})),
+               "E_PARSE");
+  expect_class(both(rows(WireVerb::kLoadU32, "nodict", {"region"}, {0}, {1})),
+               "E_STATE");
+  expect_class(both(dict("item", {"pear"})), "E_STATE");
+  // A count that disagrees with the data it heads.
+  std::string short_dict;
+  WireAppendString(&short_dict, "region");
+  WireAppendU32(&short_dict, 2);
+  WireAppendString(&short_dict, "north");
+  same_class("DICT region 2\nnorth\nEND\n", Frame(kFrameDict, short_dict));
+  std::string short_rows = RowsPayload("short", {"item"}, {{{0}, 1}});
+  short_rows.resize(short_rows.size() - 1);
+  same_class("LOADU32 short item\n0 :\nEND\n", Frame(kFrameRows, short_rows));
+
+  EXPECT_EQ(both(verb(WireVerb::kSeal)), "OK SEAL 2 bags");
+
+  // Queries, by index (query frames) and by name (CMD frames).
+  EXPECT_EQ(both(pair(WireVerb::kTwoBag, index(0), index(1))), "OK CONSISTENT");
+  EXPECT_EQ(both(pair(WireVerb::kTwoBag, named("orders"), named("stock"))),
+            "OK CONSISTENT");
+  EXPECT_EQ(both(verb(WireVerb::kPairwise)), "OK CONSISTENT");
+  EXPECT_EQ(both(verb(WireVerb::kGlobal)), "OK CONSISTENT");
+  WireRequest kwise = verb(WireVerb::kKWise);
+  kwise.k = 2;
+  EXPECT_EQ(both(kwise), "OK CONSISTENT");
+  EXPECT_EQ(both(pair(WireVerb::kWitness, index(0), index(1))), "OK WITNESS 2");
+  EXPECT_EQ(both(pair(WireVerb::kWitness, index(0), index(1), true)), "OK WITNESS 2");
+  EXPECT_EQ(both(pair(WireVerb::kWitness, named("orders"), index(1), true)),
+            "OK WITNESS 2");
+  expect_class(both(pair(WireVerb::kTwoBag, index(0), index(7))), "E_RANGE");
+  expect_class(both(pair(WireVerb::kTwoBag, named("orders"), named("nosuch"))),
+               "E_STATE");
+
+  // INSERT / DELETE: published deltas, then their errors.
+  EXPECT_EQ(both(rows(WireVerb::kInsert, "stock", {"item", "store"}, {2, 0}, {5})),
+            "OK INSERT stock 1 rows 2 bags 1 reused");
+  EXPECT_EQ(both(pair(WireVerb::kTwoBag, index(0), index(1))), "OK INCONSISTENT");
+  EXPECT_EQ(both(verb(WireVerb::kPairwise)), "OK INCONSISTENT 0 1");
+  EXPECT_EQ(both(rows(WireVerb::kDelete, "stock", {"store", "item"}, {0, 2}, {5})),
+            "OK DELETE stock 1 rows 2 bags 1 reused");
+  expect_class(both(rows(WireVerb::kInsert, "stock", {"item", "store"}, {9, 0}, {1})),
+               "E_RANGE");
+  expect_class(both(rows(WireVerb::kDelete, "stock", {"item", "store"}, {0, 0}, {99})),
+               "E_RANGE");
+  expect_class(both(rows(WireVerb::kInsert, "nosuch", {"item"}, {0}, {1})), "E_STATE");
+  expect_class(both(rows(WireVerb::kInsert, "stock", {"item"}, {0}, {1})), "E_PARSE");
+
+  // BEGIN / COMMIT, with the in-transaction refusals.
+  EXPECT_EQ(both(verb(WireVerb::kBegin)), "OK BEGIN");
+  expect_class(both(verb(WireVerb::kBegin)), "E_STATE");
+  EXPECT_EQ(both(rows(WireVerb::kInsert, "orders", {"item", "store"}, {2, 0}, {5})),
+            "OK INSERT orders 1 rows buffered");
+  expect_class(both(dict("region", {"north"})), "E_STATE");
+  expect_class(both(rows(WireVerb::kLoadU32, "more", {"item"}, {0}, {1})), "E_STATE");
+  expect_class(both(verb(WireVerb::kSeal)), "E_STATE");
+  EXPECT_EQ(both(rows(WireVerb::kInsert, "stock", {"store", "item"}, {0, 2}, {5})),
+            "OK INSERT stock 1 rows buffered");
+  EXPECT_EQ(both(verb(WireVerb::kCommit)), "OK COMMIT 2 rows 2 bags");
+  expect_class(both(verb(WireVerb::kCommit)), "E_STATE");
+  // The witness prints every multiplicity the two framings loaded.
+  EXPECT_EQ(both(pair(WireVerb::kWitness, index(0), index(1))), "OK WITNESS 3");
+
+  // STATS, global and per collection, agree key for key.
+  EXPECT_EQ(both(verb(WireVerb::kStats)), "OK STATS");
+  WireRequest stats = verb(WireVerb::kStats);
+  stats.name = "default";
+  EXPECT_EQ(both(stats), "OK STATS");
 }
 
 TEST(BagcdServerTest, ShutdownCommandStopsTheServer) {
