@@ -311,7 +311,7 @@ Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
       }
     }
   }
-  return GroupHashed(z, projected, mults, n, level);
+  return GroupHashed(z, projected, mults, level);
 }
 
 Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
@@ -386,8 +386,7 @@ Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
 }
 
 Result<Bag> Bag::GroupHashed(const Schema& z, const ColumnView& projected,
-                             const uint64_t* mults, size_t n,
-                             simd::SimdLevel level) {
+                             const uint64_t* mults, simd::SimdLevel level) {
   ColumnIndex groups(projected, level);
   size_t ng = groups.NumGroups();
   std::vector<uint64_t> sums(ng);

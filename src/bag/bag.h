@@ -294,8 +294,7 @@ class Bag {
                                 uint64_t stride, uint64_t table,
                                 simd::SimdLevel level);
   static Result<Bag> GroupHashed(const Schema& z, const ColumnView& projected,
-                                 const uint64_t* mults, size_t n,
-                                 simd::SimdLevel level);
+                                 const uint64_t* mults, simd::SimdLevel level);
 
   Schema schema_;
   // Row storage, shared across copies until one of them mutates. Copying

@@ -76,36 +76,54 @@ void SplitSpans(std::string_view line, std::vector<std::string_view>* spans) {
   }
 }
 
+// Appends the decimal form of an integer without a temporary string.
+template <typename Int>
+void AppendInt(Int value, std::string* out) {
+  char buf[24];
+  out->append(buf, std::to_chars(buf, buf + sizeof(buf), value).ptr);
+}
+
 }  // namespace
 
-std::string WriteBag(const Bag& bag, const AttributeCatalog& catalog,
-                     const DictionarySet* dicts) {
-  std::string out = "bag";
+void AppendBag(const Bag& bag, const AttributeCatalog& catalog,
+               const DictionarySet* dicts, std::string* out) {
+  *out += "bag";
   for (AttrId a : bag.schema().attrs()) {
-    out += " " + catalog.Name(a);
+    *out += ' ';
+    *out += catalog.Name(a);
   }
-  out += "\n";
+  *out += '\n';
   // Resolve each slot's dictionary once; slots without one (numerically
   // built bags, or attributes the set never saw) decode via the codec.
-  std::vector<const ValueDictionary*> slot_dict(bag.schema().arity(), nullptr);
+  size_t arity = bag.schema().arity();
+  std::vector<const ValueDictionary*> slot_dict(arity, nullptr);
   if (dicts != nullptr) {
-    for (size_t i = 0; i < bag.schema().arity(); ++i) {
+    for (size_t i = 0; i < arity; ++i) {
       slot_dict[i] = dicts->find_dict(bag.schema().at(i));
     }
   }
   for (size_t e = 0; e < bag.SupportSize(); ++e) {
-    Tuple t = bag.RowAt(e);  // text write-out is a designated cold path
-    for (size_t i = 0; i < t.arity(); ++i) {
+    for (size_t i = 0; i < arity; ++i) {
+      ValueId id = bag.IdAt(e, i);
       const ValueDictionary* d = slot_dict[i];
-      if (d != nullptr && t.id(i) < d->size()) {
-        out += d->ExternalOf(t.id(i)) + " ";
+      if (d != nullptr && id < d->size()) {
+        *out += d->ExternalOf(id);
       } else {
-        out += std::to_string(t.at(i)) + " ";
+        AppendInt(DecodeValue(id), out);
       }
+      *out += ' ';
     }
-    out += ": " + std::to_string(bag.MultiplicityAt(e)) + "\n";
+    *out += ": ";
+    AppendInt(bag.MultiplicityAt(e), out);
+    *out += '\n';
   }
-  out += "end\n";
+  *out += "end\n";
+}
+
+std::string WriteBag(const Bag& bag, const AttributeCatalog& catalog,
+                     const DictionarySet* dicts) {
+  std::string out;
+  AppendBag(bag, catalog, dicts, &out);
   return out;
 }
 
@@ -113,7 +131,7 @@ std::string WriteCollection(const std::vector<Bag>& bags,
                             const AttributeCatalog& catalog,
                             const DictionarySet* dicts) {
   std::string out;
-  for (const Bag& bag : bags) out += WriteBag(bag, catalog, dicts);
+  for (const Bag& bag : bags) AppendBag(bag, catalog, dicts, &out);
   return out;
 }
 

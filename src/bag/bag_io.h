@@ -48,6 +48,11 @@ std::string_view StripCommentView(std::string_view line);
 std::string WriteBag(const Bag& bag, const AttributeCatalog& catalog,
                      const DictionarySet* dicts = nullptr);
 
+/// WriteBag appending to *out in place: no per-row or per-value
+/// temporaries (the WITNESS response body is written this way).
+void AppendBag(const Bag& bag, const AttributeCatalog& catalog,
+               const DictionarySet* dicts, std::string* out);
+
 /// Serializes a whole collection (sequence of bag blocks).
 std::string WriteCollection(const std::vector<Bag>& bags,
                             const AttributeCatalog& catalog,

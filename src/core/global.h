@@ -20,7 +20,8 @@ namespace bagc {
 
 /// Tuning for the exact (cyclic-schema) path.
 struct GlobalSolveOptions {
-  /// Cap on |R'1 ⋈ ... ⋈ R'm| when materializing P(R1..Rm).
+  /// Cap on |R'1 ⋈ ... ⋈ R'm| when materializing P(R1..Rm). The engine
+  /// applies the same cap to |R'i ⋈ R'j| for two-bag witness queries.
   size_t max_join_support = 1u << 22;
   /// Search budget for the integer-feasibility DFS.
   SolveOptions search;

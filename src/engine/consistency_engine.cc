@@ -541,14 +541,15 @@ Result<std::optional<Bag>> ConsistencyEngine::WitnessSealed(size_t i, size_t j,
                                                             bool minimal) const {
   BAGC_ASSIGN_OR_RETURN(bool consistent, TwoBagSealed(i, j));
   if (!consistent) return std::optional<Bag>();
-  // A local arena per call: slower than the engine's shared solver for a
-  // single caller, but free of cross-query contention — the trade the
-  // server snapshot wants. The construction is deterministic, so the
-  // witness is identical to Witness()'s.
+  // A local arena per call: free of cross-query contention — the trade
+  // the server snapshot wants. N(R, S) holds only index pairs, so the
+  // arena costs O(|R'| + |S'| + |R' ⋈ S'|) words; the construction is
+  // deterministic, so the witness is identical to Witness()'s.
   TwoBagSolver solver;
   BAGC_ASSIGN_OR_RETURN(
-      Bag witness, solver.FindWitnessKnownConsistent(collection_->bag(i),
-                                                     collection_->bag(j), minimal));
+      Bag witness,
+      solver.FindWitnessKnownConsistent(collection_->bag(i), collection_->bag(j),
+                                        minimal, options_.global.max_join_support));
   return std::optional<Bag>(std::move(witness));
 }
 
@@ -561,7 +562,8 @@ Result<std::optional<Bag>> ConsistencyEngine::Witness(size_t i, size_t j,
   const Bag& r = collection_->bag(i);
   const Bag& s = collection_->bag(j);
   BAGC_ASSIGN_OR_RETURN(
-      Bag witness, witness_solver_.FindWitnessKnownConsistent(r, s, minimal));
+      Bag witness, witness_solver_.FindWitnessKnownConsistent(
+                       r, s, minimal, options_.global.max_join_support));
   return std::optional<Bag>(std::move(witness));
 }
 

@@ -327,8 +327,8 @@ class ConsistencyEngine {
   /// Witness without the engine's shared flow arena: the Lemma 2(2)
   /// pre-check reads the sealed cache and the construction runs in a
   /// local TwoBagSolver, so concurrent witness queries never contend.
-  /// Same deterministic witness as Witness(). Thread-safe on a fully
-  /// sealed engine.
+  /// Same deterministic witness as Witness(), and the same join cap.
+  /// Thread-safe on a fully sealed engine.
   Result<std::optional<Bag>> WitnessSealed(size_t i, size_t j,
                                            bool minimal = false) const;
 
@@ -369,6 +369,8 @@ class ConsistencyEngine {
 
   /// Witness of consistency for bags i and j (minimal per §5.3 when
   /// `minimal`); nullopt when inconsistent. Reuses the engine's flow arena.
+  /// Refuses with ResourceExhausted "join support exceeds cap (N)" when
+  /// |R'i ⋈ R'j| > options.global.max_join_support, before building N(R, S).
   Result<std::optional<Bag>> Witness(size_t i, size_t j, bool minimal = false);
 
   /// Theorem 6 witness construction for acyclic schemas, folding minimal

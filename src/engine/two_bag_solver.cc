@@ -28,8 +28,9 @@ Result<std::optional<Bag>> TwoBagSolver::FindMinimalWitness(const Bag& r,
 }
 
 Result<Bag> TwoBagSolver::FindWitnessKnownConsistent(const Bag& r, const Bag& s,
-                                                     bool minimal) {
-  BAGC_RETURN_NOT_OK(arena_.Assign(r, s));
+                                                     bool minimal,
+                                                     size_t max_join_support) {
+  BAGC_RETURN_NOT_OK(arena_.Assign(r, s, max_join_support));
   BAGC_ASSIGN_OR_RETURN(bool saturated, arena_.HasSaturatedFlow());
   if (!saturated) {
     // Lemma 2 (2) => (5): cannot happen when the marginals agree.

@@ -34,9 +34,12 @@ class TwoBagSolver {
   /// As FindWitness / FindMinimalWitness but skipping the Lemma 2(2)
   /// pre-check: the caller has already established consistency (the
   /// ConsistencyEngine answers it from cached marginals). Errors with
-  /// Internal if the bags are in fact inconsistent.
-  Result<Bag> FindWitnessKnownConsistent(const Bag& r, const Bag& s,
-                                         bool minimal);
+  /// Internal if the bags are in fact inconsistent, and with
+  /// ResourceExhausted before building any edge when |R' ⋈ S'| exceeds
+  /// `max_join_support`.
+  Result<Bag> FindWitnessKnownConsistent(
+      const Bag& r, const Bag& s, bool minimal,
+      size_t max_join_support = ConsistencyNetwork::kNoJoinCap);
 
  private:
   ConsistencyNetwork arena_;

@@ -3,9 +3,9 @@
 #include <cctype>
 #include <charconv>
 #include <limits>
+#include <numeric>
 #include <utility>
 
-#include "bag/bag_io.h"
 #include "core/collection.h"
 
 namespace bagc {
@@ -138,16 +138,24 @@ Result<bool> EngineSnapshot::Global() const {
 
 Result<bool> EngineSnapshot::KWise(
     size_t k, std::optional<std::vector<size_t>>* failing_subset) const {
-  return engine_->KWiseConsistentSealed(k, failing_subset);
+  size_t m = names_.size();
+  if (k < 2 || k < m) return engine_->KWiseConsistentSealed(k, failing_subset);
+  // k >= m: the sweep's only subset is the whole collection, which is
+  // exactly GLOBAL — answer from (and fill) its memo.
+  BAGC_ASSIGN_OR_RETURN(bool consistent, Global());
+  if (failing_subset != nullptr) {
+    failing_subset->reset();
+    if (!consistent) {
+      failing_subset->emplace(m);
+      std::iota((*failing_subset)->begin(), (*failing_subset)->end(), size_t{0});
+    }
+  }
+  return consistent;
 }
 
 Result<std::optional<Bag>> EngineSnapshot::Witness(size_t i, size_t j,
                                                    bool minimal) const {
   return engine_->WitnessSealed(i, j, minimal);
-}
-
-std::string EngineSnapshot::WriteBagText(const Bag& bag) const {
-  return WriteBag(bag, catalog_, dicts_.get());
 }
 
 }  // namespace bagc

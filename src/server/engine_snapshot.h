@@ -113,7 +113,8 @@ class EngineSnapshot {
   Result<bool> Global() const;
 
   /// K-wise consistency with the first failing subset, from the sealed
-  /// cache (paper §4).
+  /// cache (paper §4). For k >= m the one subset is the whole collection:
+  /// the answer comes from Global()'s memo, failing subset 0..m-1.
   Result<bool> KWise(size_t k,
                      std::optional<std::vector<size_t>>* failing_subset) const;
 
@@ -122,13 +123,10 @@ class EngineSnapshot {
   /// witness queries never contend.
   Result<std::optional<Bag>> Witness(size_t i, size_t j, bool minimal) const;
 
-  /// Serializes a result bag in the bag IO format, decoding ids through
-  /// the snapshot's dictionaries.
-  std::string WriteBagText(const Bag& bag) const;
-
   uint64_t seq() const { return seq_; }
-  /// The catalog/dictionaries the snapshot decodes results through —
-  /// for encoders (binary witness frames) that mirror WriteBagText.
+  /// The catalog/dictionaries the snapshot decodes results through — for
+  /// the response encoders (text bodies via AppendBag, binary witness
+  /// frames).
   const AttributeCatalog& catalog() const { return catalog_; }
   const DictionarySet* dictionaries() const { return dicts_.get(); }
   size_t num_bags() const { return names_.size(); }

@@ -88,9 +88,9 @@ class TextSink final : public ServerSession::ResponseSink {
 
   void WitnessBag(const Bag& bag, const EngineSnapshot& snapshot) override {
     // The bag IO block ("bag ...", rows, "end", each '\n'-terminated) is
-    // the response body as is.
+    // the response body as is, appended straight into the output.
     *out_ += "OK WITNESS " + std::to_string(bag.SupportSize()) + "\n";
-    *out_ += snapshot.WriteBagText(bag);
+    AppendBag(bag, snapshot.catalog(), snapshot.dictionaries(), out_);
     *out_ += kWireEnd;
     *out_ += '\n';
   }

@@ -144,6 +144,10 @@ class TupleJoiner {
   /// The XY-tuple xy. Requires Joinable(x, y).
   Tuple Join(const Tuple& x, const Tuple& y) const;
 
+  /// For each slot of the XY layout: (from_left, source slot index) —
+  /// for callers assembling xy from ids that live outside Tuples.
+  const std::vector<std::pair<bool, size_t>>& sources() const { return sources_; }
+
  private:
   Schema xy_;
   Schema shared_;

@@ -10,6 +10,7 @@
 #include "core/lifting.h"
 #include "core/pairwise.h"
 #include "core/two_bag.h"
+#include "engine/consistency_engine.h"
 #include "flow/consistency_network.h"
 #include "generators/workloads.h"
 #include "hypergraph/families.h"
@@ -74,6 +75,39 @@ TEST(BudgetTest, GlobalSolveJoinCapPropagates) {
   auto result = SolveGlobalConsistencyExact(c, options);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+TEST(BudgetTest, WitnessJoinCapRefusesBeforeBuildingTheNetwork) {
+  // Disjoint schemas: |R' ⋈ S'| = 8 × 8 = 64 middle edges.
+  std::vector<Bag> bags;
+  for (AttrId a = 0; a < 2; ++a) {
+    Bag b(Schema{{a}});
+    for (Value v = 0; v < 8; ++v) ASSERT_TRUE(b.Set(Tuple{{v}}, 1).ok());
+    bags.push_back(std::move(b));
+  }
+  for (size_t cap : {size_t{63}, size_t{64}}) {
+    EngineOptions options;
+    options.global.max_join_support = cap;
+    ConsistencyEngine engine = *ConsistencyEngine::Make(*BagCollection::Make(bags), options);
+    for (bool minimal : {false, true}) {
+      Result<std::optional<Bag>> sealed = engine.WitnessSealed(0, 1, minimal);
+      Result<std::optional<Bag>> shared = engine.Witness(0, 1, minimal);
+      if (cap < 64) {
+        ASSERT_FALSE(sealed.ok());
+        EXPECT_EQ(sealed.status().code(), StatusCode::kResourceExhausted);
+        EXPECT_EQ(sealed.status().message(), "join support exceeds cap (63)");
+        ASSERT_FALSE(shared.ok());
+        EXPECT_EQ(shared.status().code(), StatusCode::kResourceExhausted);
+      } else {
+        ASSERT_TRUE(sealed.ok() && shared.ok());
+        EXPECT_EQ(**sealed, **shared);
+      }
+    }
+    // The Theorem 6 fold is not capped.
+    auto fold = engine.SolveGlobalAcyclic();
+    ASSERT_TRUE(fold.ok()) << fold.status().ToString();
+    EXPECT_TRUE(fold->has_value());
+  }
 }
 
 TEST(BudgetTest, SimplexTableauGuard) {

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -332,8 +333,20 @@ TEST(ServerConcurrentTest, GenerationSwapsUnderLoadNeverTearAnswers) {
     });
   }
   // Thrash generations: unpublish and re-seal the same data repeatedly
-  // while the readers hammer the registry.
-  for (int cycle = 0; cycle < 10; ++cycle) {
+  // while the readers hammer the registry. The readers must be live
+  // before the thrash starts and must answer during it, so it runs at
+  // least 10 cycles and then until a reader answered (a slow-starting
+  // reader thread used to miss all 10 cycles); the deadline only bounds
+  // a broken server.
+  auto deadline = std::chrono::steady_clock::now() + std::chrono::seconds(20);
+  while (answered.load() == 0 && std::chrono::steady_clock::now() < deadline) {
+    std::this_thread::yield();
+  }
+  const int answered_before = answered.load();
+  for (int cycle = 0;
+       cycle < 10 || (answered.load() == answered_before &&
+                      std::chrono::steady_clock::now() < deadline);
+       ++cycle) {
     Result<std::vector<std::string>> reset = admin->Command("RESET");
     ASSERT_TRUE(reset.ok());
     ASSERT_EQ(reset->front(), "OK RESET");
@@ -347,7 +360,8 @@ TEST(ServerConcurrentTest, GenerationSwapsUnderLoadNeverTearAnswers) {
   stop.store(true);
   for (std::thread& t : readers) t.join();
   EXPECT_EQ(wrong.count.load(), 0) << "first divergence: " << wrong.first;
-  EXPECT_GT(answered.load(), 0);
+  EXPECT_GT(answered_before, 0);
+  EXPECT_GT(answered.load(), answered_before);
   (*server)->Shutdown();
 }
 
@@ -520,7 +534,8 @@ TEST(ServerConcurrentTest, ReadersOnOldGenerationSurviveDeltaPublishes) {
   ASSERT_NE(pinned, nullptr);
   ASSERT_TRUE(*pinned->TwoBag(0, 1));
   std::string pinned_witness =
-      pinned->WriteBagText(**pinned->Witness(0, 1, /*minimal=*/true));
+      WriteBag(**pinned->Witness(0, 1, /*minimal=*/true), pinned->catalog(),
+               pinned->dictionaries());
 
   std::atomic<bool> stop{false};
   FailureLog wrong;
@@ -556,7 +571,8 @@ TEST(ServerConcurrentTest, ReadersOnOldGenerationSurviveDeltaPublishes) {
   // The pinned generation never moved: same verdict, same witness bytes.
   EXPECT_TRUE(*pinned->TwoBag(0, 1));
   EXPECT_EQ(pinned_witness,
-            pinned->WriteBagText(**pinned->Witness(0, 1, /*minimal=*/true)));
+            WriteBag(**pinned->Witness(0, 1, /*minimal=*/true), pinned->catalog(),
+                     pinned->dictionaries()));
   EXPECT_EQ(pinned->seq(), 1u);
   // Twenty commits later the served generation is number 21.
   EXPECT_EQ(registry.Peek(registry.Default().get())->seq(), 21u);

@@ -15,6 +15,8 @@
 #include "bag/bag_io.h"
 #include "core/pairwise.h"
 #include "core/two_bag.h"
+#include "generators/workloads.h"
+#include "hypergraph/families.h"
 #include "server/bagcd_server.h"
 #include "server/client.h"
 #include "server/engine_snapshot.h"
@@ -1249,6 +1251,85 @@ TEST(ServerSessionTest, EachQueryTouchesItsCollectionOnce) {
           << q.line << (binary ? " (binary)" : " (text)");
     }
   }
+}
+
+TEST(ServerSessionTest, WitnessAboveTheJoinCapIsAnEngineError) {
+  // Two consistent 2049-row bags over disjoint schemas: |R' ⋈ S'| =
+  // 2049² exceeds the engine's 2^22 join cap, so WITNESS is refused
+  // before N(R, S) is built, and the session keeps answering.
+  std::string script = "LOAD r A\n";
+  for (int v = 0; v < 2049; ++v) script += std::to_string(v) + " : 1\n";
+  script += "END\nLOAD s B\n";
+  for (int v = 0; v < 2049; ++v) script += std::to_string(v) + " : 1\n";
+  script += "END\nSEAL\n";
+  CollectionRegistry registry;
+  ServerSession session(&registry, nullptr);
+  std::vector<std::string> out = Feed(&session, script);
+  ASSERT_EQ(out.back(), "OK SEAL 2 bags");
+  for (const char* query : {"WITNESS r s\n", "WITNESS 0 1 MINIMAL\n"}) {
+    out = Feed(&session, query);
+    ASSERT_EQ(out.size(), 1u);
+    EXPECT_EQ(out[0], "ERR E_ENGINE join support exceeds cap (4194304)") << query;
+  }
+  out = Feed(&session, "TWOBAG r s\nGLOBAL\n");
+  EXPECT_EQ(out, (std::vector<std::string>{"OK CONSISTENT", "OK CONSISTENT"}));
+}
+
+TEST(EngineSnapshotTest, KWiseAtLeastMAnswersLikeTheSweep) {
+  // KWISE k with k >= m is GLOBAL on the whole collection: the snapshot
+  // answers it from the memoized GLOBAL verdict. Its answer and failing
+  // subset must equal the k-subset sweep's, whichever query runs first.
+  Rng rng(77);
+  BagGenOptions gen;
+  gen.support_size = 12;
+  gen.domain_size = 3;
+  std::vector<std::vector<Bag>> collections;
+  for (size_t n : {3, 4}) {
+    collections.push_back(MakeGloballyConsistentCollection(*MakePath(n), gen, &rng)->bags());
+    collections.push_back(MakeGloballyConsistentCollection(*MakeCycle(n), gen, &rng)->bags());
+  }
+  // Pairwise inconsistent: bump one row of the last bag of a path.
+  std::vector<Bag> broken = collections[0];
+  ASSERT_TRUE(broken.back().Add(broken.back().RowAt(0), 1).ok());
+  collections.push_back(broken);
+  // Pairwise consistent, globally inconsistent: a != b, b != c, a != c.
+  std::vector<Bag> parity;
+  for (const Schema& x : {Schema{{0, 1}}, Schema{{1, 2}}, Schema{{0, 2}}}) {
+    parity.push_back(*MakeBag(x, {{{0, 1}, 1}, {{1, 0}, 1}}));
+  }
+  collections.push_back(parity);
+
+  std::vector<size_t> verdicts(2, 0);  // inconsistent, consistent
+  for (const std::vector<Bag>& bags : collections) {
+    size_t m = bags.size();
+    for (size_t k : {m, m + 1, m + 5}) {
+      for (bool global_first : {false, true}) {
+        EngineSnapshot::BuildInputs in;
+        for (size_t i = 0; i < m; ++i) in.names.push_back("b" + std::to_string(i));
+        in.bags = bags;
+        auto snapshot = EngineSnapshot::Build(std::move(in), 1);
+        ASSERT_TRUE(snapshot.ok()) << snapshot.status().ToString();
+        std::optional<std::vector<size_t>> want_subset;
+        Result<bool> want =
+            (*snapshot)->engine()->KWiseConsistentSealed(k, &want_subset);
+        ASSERT_TRUE(want.ok());
+        if (global_first) {
+          ASSERT_EQ(*(*snapshot)->Global(), *want);
+        }
+        std::optional<std::vector<size_t>> got_subset;
+        Result<bool> got = (*snapshot)->KWise(k, &got_subset);
+        ASSERT_TRUE(got.ok());
+        EXPECT_EQ(*got, *want) << "m=" << m << " k=" << k;
+        EXPECT_EQ(got_subset, want_subset) << "m=" << m << " k=" << k;
+        EXPECT_EQ((*snapshot)->engine()->cached_global_verdict(),
+                  std::optional<bool>(*want));
+        EXPECT_EQ(*(*snapshot)->Global(), *want);
+        ++verdicts[*want ? 1 : 0];
+      }
+    }
+  }
+  EXPECT_GT(verdicts[0], 0u);
+  EXPECT_GT(verdicts[1], 0u);
 }
 
 // Twin sessions on twin registries, one framing each: every request runs
