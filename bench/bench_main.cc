@@ -25,8 +25,8 @@
 //   columnar_probe: the SoA speedup on marginal-build/probe-heavy paths.
 //   Three pairs, row path (PR 3 baseline, in the baseline field) vs
 //   columnar path: a single marginal build (the engine cache-fill
-//   kernel), the engine seal + pairwise sweep (MarginalPath::kRows vs
-//   kColumnar), and the hash-join matching phase (per-row
+//   kernel), the engine seal + pairwise sweep (columnar_min_rows =
+//   SIZE_MAX vs 1), and the hash-join matching phase (per-row
 //   TupleIndex::Find vs batch ColumnIndex::ProbeAll).
 //
 //   server_session: the bagcd dictionary-aware protocol win. One
@@ -74,6 +74,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <memory>
 #include <sstream>
@@ -97,7 +98,6 @@
 #include "tuple/wal.h"
 #include "solver/lp.h"
 #include "util/random.h"
-#include "util/simd.h"
 #include "util/thread_pool.h"
 
 // Injected by CMake so the artifact records how the binary was compiled.
@@ -1064,6 +1064,22 @@ BagCollection MakeColumnarSweepCollection(size_t support, uint64_t seed) {
   return *MakeGloballyConsistentCollection(h, options, &rng);
 }
 
+// The generator's bags come back columnar-sealed, and a columnar-sealed
+// bag always groups columnar. The row-path legs run on row-form copies
+// (a same-value Set de-seals without changing a single multiplicity).
+Bag RowFormCopy(Bag b) {
+  if (!b.IsEmpty() && !b.Set(b.RowAt(0), b.MultiplicityAt(0)).ok()) {
+    std::abort();
+  }
+  return b;
+}
+
+BagCollection RowFormCopy(const BagCollection& c) {
+  std::vector<Bag> bags;
+  for (const Bag& b : c.bags()) bags.push_back(RowFormCopy(b));
+  return *BagCollection::Make(std::move(bags));
+}
+
 void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
   // Marginal build R(A,B,C) -> R[{A,B}]: the engine cache-fill kernel.
   // Rows: per-row Tuple projection + sort/merge (the PR 3 path).
@@ -1088,12 +1104,13 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
   // fills (everything else identical): the probe-heavy batch workload.
   for (size_t support : {256, 1024, 4096}) {
     BagCollection c = MakeColumnarSweepCollection(support, 12000 + support);
+    BagCollection rows_c = RowFormCopy(c);
     EngineOptions rows_opt;
-    rows_opt.marginal_path = MarginalPath::kRows;
+    rows_opt.columnar_min_rows = std::numeric_limits<size_t>::max();
     EngineOptions cols_opt;
-    cols_opt.marginal_path = MarginalPath::kColumnar;
+    cols_opt.columnar_min_rows = 1;
     BenchResult rows = Measure("pairwise_seal_sweep_rows", support, [&] {
-      ConsistencyEngine e = *ConsistencyEngine::MakeView(c, rows_opt);
+      ConsistencyEngine e = *ConsistencyEngine::MakeView(rows_c, rows_opt);
       if (!(*e.PairwiseAll()).consistent) std::abort();
     });
     BenchResult columnar = Measure("pairwise_seal_sweep_columnar", support, [&] {
@@ -1114,15 +1131,9 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
     Schema shared = Schema::Intersect(r.schema(), s.schema());
     Projector r_shared = *Projector::Make(r.schema(), shared);
     Projector s_shared = *Projector::Make(s.schema(), shared);
-    // Marginals come back columnar-sealed now; the row leg measures the
-    // PR 3 per-Tuple path, so materialize row-form twins for it (a
-    // same-value Set de-seals without changing a single multiplicity).
-    Bag r_rows = r;
-    Bag s_rows = s;
-    if (!r_rows.Set(r_rows.RowAt(0), r_rows.MultiplicityAt(0)).ok() ||
-        !s_rows.Set(s_rows.RowAt(0), s_rows.MultiplicityAt(0)).ok()) {
-      std::abort();
-    }
+    // The row leg measures the PR 3 per-Tuple path on row-form twins.
+    Bag r_rows = RowFormCopy(r);
+    Bag s_rows = RowFormCopy(s);
     BenchResult rows = Measure("probe_batch_rows", support, [&] {
       TupleIndex index(s_rows.SupportSize());
       for (size_t j = 0; j < s_rows.SupportSize(); ++j) {
@@ -1150,79 +1161,6 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
     columnar.baseline_ops_per_sec = rows.ops_per_sec;
     results->push_back(std::move(rows));
     results->push_back(std::move(columnar));
-  }
-
-  // SIMD-explicit kernel legs: each dispatched batch kernel at kScalar
-  // (the differential twin) vs the best level this host executes. Same
-  // inputs, bit-identical outputs — the artifact records the pure ISA
-  // speedup with the columnar layout held constant.
-  const simd::SimdLevel best = simd::Resolve(simd::SimdLevel::kAuto);
-  for (size_t support : {4096, 65536}) {
-    Rng rng(14000 + support);
-    std::vector<ValueId> data(support * 3);
-    for (ValueId& v : data) v = static_cast<ValueId>(rng.Next() % (1u << 16));
-    ColumnStore store =
-        ColumnStore::FromColumnMajor(std::move(data), support, 3);
-    std::vector<uint64_t> hashes;
-    BenchResult scalar = Measure("hash_rows_scalar", support, [&] {
-      store.View().HashRows(&hashes, simd::SimdLevel::kScalar);
-      if (hashes.empty()) std::abort();
-    });
-    BenchResult vec = Measure("hash_rows_simd", support, [&] {
-      store.View().HashRows(&hashes, best);
-      if (hashes.empty()) std::abort();
-    });
-    vec.baseline_ops_per_sec = scalar.ops_per_sec;
-    results->push_back(std::move(scalar));
-    results->push_back(std::move(vec));
-  }
-  for (size_t support : {4096, 65536}) {
-    Rng rng(15000 + support);
-    std::vector<ValueId> keys(support * 2), probes(support * 2);
-    for (ValueId& v : keys) v = static_cast<ValueId>(rng.Next() % (support / 8));
-    for (ValueId& v : probes) v = static_cast<ValueId>(rng.Next() % (support / 4));
-    ColumnStore key_store =
-        ColumnStore::FromColumnMajor(std::move(keys), support, 2);
-    ColumnStore probe_store =
-        ColumnStore::FromColumnMajor(std::move(probes), support, 2);
-    std::vector<uint32_t> matched;
-    ColumnIndex scalar_index(key_store.View(), simd::SimdLevel::kScalar);
-    ColumnIndex simd_index(key_store.View(), best);
-    BenchResult scalar = Measure("probe_all_scalar", support, [&] {
-      scalar_index.ProbeAll(probe_store.View(), &matched);
-      if (matched.size() != support) std::abort();
-    });
-    BenchResult vec = Measure("probe_all_simd", support, [&] {
-      simd_index.ProbeAll(probe_store.View(), &matched);
-      if (matched.size() != support) std::abort();
-    });
-    vec.baseline_ops_per_sec = scalar.ops_per_sec;
-    results->push_back(std::move(scalar));
-    results->push_back(std::move(vec));
-  }
-  for (size_t support : {4096, 65536}) {
-    Rng rng(16000 + support);
-    // Dense arity-2 keys: the radix group-by with SIMD max/pack against
-    // the scalar hash-group twin.
-    std::vector<ValueId> data(support * 2);
-    for (ValueId& v : data) v = static_cast<ValueId>(rng.Next() % 64);
-    ColumnStore store =
-        ColumnStore::FromColumnMajor(std::move(data), support, 2);
-    std::vector<uint64_t> mults(support);
-    for (uint64_t& m : mults) m = 1 + rng.Next() % 1000;
-    Schema z{{0, 1}};
-    BenchResult scalar = Measure("group_columns_scalar", support, [&] {
-      Bag m = *Bag::GroupColumns(z, store.View(), mults.data(), support,
-                                 simd::SimdLevel::kScalar);
-      if (m.SupportSize() == 0) std::abort();
-    });
-    BenchResult vec = Measure("group_columns_simd", support, [&] {
-      Bag m = *Bag::GroupColumns(z, store.View(), mults.data(), support, best);
-      if (m.SupportSize() == 0) std::abort();
-    });
-    vec.baseline_ops_per_sec = scalar.ops_per_sec;
-    results->push_back(std::move(scalar));
-    results->push_back(std::move(vec));
   }
 
   // P(R1..Rm) LP row builder, serial vs engine-pool parallel (per-bag
@@ -1262,10 +1200,10 @@ void RunColumnarProbeSuite(std::vector<BenchResult>* results) {
   // baseline/speedup: for memory, lower is better; the README quotes
   // the ratio directly).
   for (size_t support : {1024, 4096}) {
-    BagCollection rows_c = MakeColumnarSweepCollection(support, 18000 + support);
     BagCollection cols_c = MakeColumnarSweepCollection(support, 18000 + support);
+    BagCollection rows_c = RowFormCopy(cols_c);
     EngineOptions rows_opt;
-    rows_opt.marginal_path = MarginalPath::kRows;
+    rows_opt.columnar_min_rows = std::numeric_limits<size_t>::max();
     ConsistencyEngine rows_engine =
         *ConsistencyEngine::Make(std::move(rows_c), rows_opt);
     ConsistencyEngine cols_engine =

@@ -236,17 +236,13 @@ Status Bag::ApplyRowDeltas(
   return Status::OK();
 }
 
-Result<Bag> Bag::Marginal(const Schema& z) const {
-  return Marginal(z, 0, simd::SimdLevel::kAuto);
-}
-
-Result<Bag> Bag::Marginal(const Schema& z, size_t min_rows,
-                          simd::SimdLevel level) const {
+Result<Bag> Bag::Marginal(const Schema& z, size_t min_rows) const {
   // A columnar-sealed bag always groups columnar — the row path would
   // materialize every row first.
-  if (columnar_ != nullptr) return MarginalColumnar(z, level);
   size_t threshold = min_rows == 0 ? kColumnarMinRows : min_rows;
-  if (SupportSize() >= threshold) return MarginalColumnar(z, level);
+  if (columnar_ != nullptr || SupportSize() >= threshold) {
+    return MarginalColumnar(z);
+  }
   return MarginalRows(z);
 }
 
@@ -267,51 +263,49 @@ Result<Bag> Bag::MarginalRows(const Schema& z) const {
   return builder.Build();
 }
 
-Result<Bag> Bag::MarginalColumnar(const Schema& z,
-                                  simd::SimdLevel level) const {
+Result<Bag> Bag::MarginalColumnar(const Schema& z) const {
   BAGC_ASSIGN_OR_RETURN(Projector proj, Projector::Make(schema_, z));
   size_t n = SupportSize();
   if (columnar_ != nullptr) {
     // Zero-copy: select the Z columns straight out of the live store.
     ColumnView sel = columnar_->columns.View().Select(proj);
-    return GroupColumns(z, sel, columnar_->mult_data(), n, level);
+    return GroupColumns(z, sel, columnar_->mult_data(), n);
   }
   // Row form: gather only the Z columns — the projection happens during
   // the transpose, so the grouping below never touches a non-Z slot.
   ColumnStore cols = ColumnStore::FromEntries(entries(), proj);
   std::vector<uint64_t> mults(n);
   for (size_t i = 0; i < n; ++i) mults[i] = (*entries_)[i].second;
-  return GroupColumns(z, cols.View(), mults.data(), n, level);
+  return GroupColumns(z, cols.View(), mults.data(), n);
 }
 
 Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
-                              const uint64_t* mults, size_t n,
-                              simd::SimdLevel level) {
+                              const uint64_t* mults, size_t n) {
   if (projected.arity() != z.arity() || projected.num_rows() != n) {
     return Status::InvalidArgument("projected columns do not match source rows");
   }
-  level = simd::Resolve(level);
   if (n == 0) return Bag(z);
   size_t arity = z.arity();
   // Radix-style dense path for the common shared-attribute arities: pack
   // the (<= 2) key ids into one integer and count into a flat table. Only
   // when every id is direct-range (so ascending packed key == ascending
-  // Tuple order) and the key space passed the density gate. kScalar
-  // deliberately skips this — it is the hash path's differential twin.
-  if (level != simd::SimdLevel::kScalar && arity >= 1 && arity <= 2) {
-    uint32_t max_a = simd::MaxU32(projected.column(0), n, level);
-    uint32_t max_b =
-        arity == 2 ? simd::MaxU32(projected.column(1), n, level) : 0;
+  // Tuple order) and the key space passes the density gate.
+  if (arity >= 1 && arity <= 2) {
+    auto column_max = [&](size_t c) {
+      return *std::max_element(projected.column(c), projected.column(c) + n);
+    };
+    uint32_t max_a = column_max(0);
+    uint32_t max_b = arity == 2 ? column_max(1) : 0;
     if (max_a < kDirectValueLimit && max_b < kDirectValueLimit) {
       uint64_t stride = static_cast<uint64_t>(max_b) + 1;
       uint64_t table = (static_cast<uint64_t>(max_a) + 1) * stride;
       uint64_t cap = std::max<uint64_t>(4096, 4 * static_cast<uint64_t>(n));
       if (table <= cap) {
-        return GroupDense(z, projected, mults, n, stride, table, level);
+        return GroupDense(z, projected, mults, n, stride, table);
       }
     }
   }
-  return GroupHashed(z, projected, mults, level);
+  return GroupHashed(z, projected, mults);
 }
 
 Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
@@ -321,60 +315,39 @@ Result<Bag> Bag::GroupColumns(const Schema& z, const ColumnView& projected,
   }
   std::vector<uint64_t> mults(source.size());
   for (size_t i = 0; i < source.size(); ++i) mults[i] = source[i].second;
-  return GroupColumns(z, projected, mults.data(), mults.size(),
-                      simd::SimdLevel::kAuto);
+  return GroupColumns(z, projected, mults.data(), mults.size());
 }
 
 Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
                             const uint64_t* mults, size_t n, uint64_t stride,
-                            uint64_t table, simd::SimdLevel level) {
+                            uint64_t table) {
   size_t arity = projected.arity();
+  const ValueId* a = projected.column(0);
+  const ValueId* b = arity == 2 ? projected.column(1) : nullptr;
   std::vector<uint64_t> acc(table, 0);
   size_t groups = 0;
   // Accumulation visits rows in ascending order — the same per-group add
   // order as the hash path, so overflow trips at the identical row.
-  if (arity == 1) {
-    const ValueId* a = projected.column(0);
-    for (size_t r = 0; r < n; ++r) {
-      uint64_t& slot = acc[a[r]];
-      if (slot == 0) ++groups;
-      BAGC_ASSIGN_OR_RETURN(slot, CheckedAdd(slot, mults[r]));
-    }
-  } else {
-    std::vector<uint64_t> keys(n);
-    simd::PackKeys2(projected.column(0), projected.column(1), stride, n,
-                    keys.data(), level);
-    for (size_t r = 0; r < n; ++r) {
-      uint64_t& slot = acc[keys[r]];
-      if (slot == 0) ++groups;
-      BAGC_ASSIGN_OR_RETURN(slot, CheckedAdd(slot, mults[r]));
-    }
+  for (size_t r = 0; r < n; ++r) {
+    uint64_t key = static_cast<uint64_t>(a[r]) * stride + (b ? b[r] : 0);
+    uint64_t& slot = acc[key];
+    if (slot == 0) ++groups;
+    BAGC_ASSIGN_OR_RETURN(slot, CheckedAdd(slot, mults[r]));
   }
   // Emit straight into the sealed columnar layout: a linear scan of the
   // table is ascending packed-key order, which the gate guarantees is
-  // ascending Tuple order.
+  // ascending Tuple order. (Arity 1 has stride 1: one pass per va.)
   std::vector<ValueId> data(arity * groups);
   std::vector<uint64_t> out_mults(groups);
   size_t g = 0;
-  if (arity == 1) {
-    for (uint64_t k = 0; k < table; ++k) {
+  uint64_t k = 0;
+  for (uint64_t va = 0; k < table; ++va) {
+    for (uint64_t vb = 0; vb < stride; ++vb, ++k) {
       if (acc[k] == 0) continue;
-      data[g] = static_cast<ValueId>(k);
+      data[g] = static_cast<ValueId>(va);
+      if (b) data[groups + g] = static_cast<ValueId>(vb);
       out_mults[g] = acc[k];
       ++g;
-    }
-  } else {
-    ValueId* col_a = data.data();
-    ValueId* col_b = data.data() + groups;
-    uint64_t k = 0;
-    for (uint64_t va = 0; k < table; ++va) {
-      for (uint64_t vb = 0; vb < stride; ++vb, ++k) {
-        if (acc[k] == 0) continue;
-        col_a[g] = static_cast<ValueId>(va);
-        col_b[g] = static_cast<ValueId>(vb);
-        out_mults[g] = acc[k];
-        ++g;
-      }
     }
   }
   auto rep = std::make_shared<Columnar>();
@@ -386,8 +359,8 @@ Result<Bag> Bag::GroupDense(const Schema& z, const ColumnView& projected,
 }
 
 Result<Bag> Bag::GroupHashed(const Schema& z, const ColumnView& projected,
-                             const uint64_t* mults, simd::SimdLevel level) {
-  ColumnIndex groups(projected, level);
+                             const uint64_t* mults) {
+  ColumnIndex groups(projected);
   size_t ng = groups.NumGroups();
   std::vector<uint64_t> sums(ng);
   for (size_t g = 0; g < ng; ++g) {

@@ -37,7 +37,6 @@
 #include "util/checked_math.h"
 #include "util/logging.h"
 #include "util/result.h"
-#include "util/simd.h"
 
 namespace bagc {
 
@@ -164,9 +163,7 @@ class Bag {
   /// bags always group columnar; row-form bags dispatch on support size
   /// (>= min_rows groups via the columnar path, smaller via the row
   /// path; identical output). min_rows = 0 means kColumnarMinRows.
-  Result<Bag> Marginal(const Schema& z) const;
-  Result<Bag> Marginal(const Schema& z, size_t min_rows,
-                       simd::SimdLevel level) const;
+  Result<Bag> Marginal(const Schema& z, size_t min_rows = 0) const;
 
   /// Marginal via the row path: per-row Tuple projection + sort/merge.
   /// The reference implementation the differential harness pins the
@@ -175,20 +172,17 @@ class Bag {
 
   /// Marginal via the columnar path: project the Z columns (zero-copy on
   /// a columnar bag), group them with GroupColumns.
-  Result<Bag> MarginalColumnar(const Schema& z,
-                               simd::SimdLevel level = simd::SimdLevel::kAuto) const;
+  Result<Bag> MarginalColumnar(const Schema& z) const;
 
   /// Columnar grouping core: `projected` holds Z-layout columns whose row
   /// i carries multiplicity mults[i] (> 0); both have n rows. Sums
   /// multiplicities of equal rows (overflow-checked) and returns the
-  /// sorted marginal over z, columnar-sealed. `level` picks the kernel:
-  /// arity <= 2 key ranges that pass the density gate use the radix
-  /// (dense-key) group-by with SIMD max/pack; everything else — and all
-  /// of kScalar, the differential twin — hash-groups via ColumnIndex.
-  /// All paths produce bit-identical bags.
+  /// sorted marginal over z, columnar-sealed. The density gate alone
+  /// picks the kernel: arity <= 2 direct-range keys whose packed range
+  /// fits max(4096, 4n) use the radix (dense-key) group-by; everything
+  /// else hash-groups via ColumnIndex. Both produce bit-identical bags.
   static Result<Bag> GroupColumns(const Schema& z, const ColumnView& projected,
-                                  const uint64_t* mults, size_t n,
-                                  simd::SimdLevel level = simd::SimdLevel::kAuto);
+                                  const uint64_t* mults, size_t n);
 
   /// Back-compat overload reading multiplicities from source[i].second.
   static Result<Bag> GroupColumns(const Schema& z, const ColumnView& projected,
@@ -287,14 +281,12 @@ class Bag {
   // integer and accumulate into a flat table scanned in key order —
   // valid only when all ids are direct-range (ascending id == Tuple
   // order) and the key range passed the density gate. Hashed: the
-  // general path (ColumnIndex grouping + sort by lead row) and the
-  // scalar differential twin.
+  // general path (ColumnIndex grouping + sort by lead row).
   static Result<Bag> GroupDense(const Schema& z, const ColumnView& projected,
                                 const uint64_t* mults, size_t n,
-                                uint64_t stride, uint64_t table,
-                                simd::SimdLevel level);
+                                uint64_t stride, uint64_t table);
   static Result<Bag> GroupHashed(const Schema& z, const ColumnView& projected,
-                                 const uint64_t* mults, simd::SimdLevel level);
+                                 const uint64_t* mults);
 
   Schema schema_;
   // Row storage, shared across copies until one of them mutates. Copying

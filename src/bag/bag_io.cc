@@ -1,11 +1,11 @@
 #include "bag/bag_io.h"
 
+#include <algorithm>
 #include <charconv>
 #include <string_view>
 #include <sstream>
 
 #include "tuple/tuple_index.h"
-#include "util/simd.h"
 
 namespace bagc {
 
@@ -313,12 +313,12 @@ Result<Bag> BagBorrowU32Columns(const std::vector<std::string>& attr_names,
       return Status::FailedPrecondition(
           "segment columns are not contiguous column-major");
     }
-    // Bounds check the whole column at once (SIMD max-reduce) instead of
+    // Bounds check the whole column at once (one max-reduce) instead of
     // per-row: every id a column carries must have been issued by its
     // dictionary.
     if (n > 0) {
-      uint32_t max_id = simd::MaxU32(columns.column(c), n,
-                                     simd::SimdLevel::kAuto);
+      uint32_t max_id = *std::max_element(columns.column(c),
+                                          columns.column(c) + n);
       if (max_id >= dict->size()) {
         return Status::OutOfRange(
             "row id " + std::to_string(max_id) +

@@ -101,7 +101,7 @@ Result<ConsistencyEngine> ConsistencyEngine::MakeImpl(
   // reconstructed on cold paths via RowAt). Bags already columnar — e.g.
   // adopted from a previous generation by MakeDelta — are left untouched;
   // borrowed collections (MakeView) are never mutated.
-  if (engine.owned_ != nullptr && options.marginal_path != MarginalPath::kRows) {
+  if (engine.owned_ != nullptr) {
     size_t min_rows = options.columnar_min_rows == 0 ? kColumnarMinRows
                                                      : options.columnar_min_rows;
     bool convert = false;
@@ -252,8 +252,7 @@ Status ConsistencyEngine::EnsureFilled(CachedProjection* slot, size_t bag_index)
           marginal,
           Bag::GroupColumns(slot->schema,
                             EnsureColumns(bag_index).View().Select(proj),
-                            bag.MultiplicityData(), bag.SupportSize(),
-                            options_.simd));
+                            bag.MultiplicityData(), bag.SupportSize()));
     } else {
       BAGC_ASSIGN_OR_RETURN(
           marginal,
@@ -276,18 +275,10 @@ size_t ConsistencyEngine::ColumnarMinRows() const {
 }
 
 bool ConsistencyEngine::UseColumnar(size_t bag_index) const {
-  switch (options_.marginal_path) {
-    case MarginalPath::kRows:
-      return false;
-    case MarginalPath::kColumnar:
-      return true;
-    case MarginalPath::kAuto:
-    default:
-      // Columnar-sealed bags have no row path to fall back to; size-based
-      // dispatch only applies to bags still holding flat rows.
-      return collection_->bag(bag_index).columnar_sealed() ||
-             collection_->bag(bag_index).SupportSize() >= ColumnarMinRows();
-  }
+  // Columnar-sealed bags have no row path to fall back to; size-based
+  // dispatch only applies to bags still holding flat rows.
+  const Bag& bag = collection_->bag(bag_index);
+  return bag.columnar_sealed() || bag.SupportSize() >= ColumnarMinRows();
 }
 
 const ColumnStore& ConsistencyEngine::EnsureColumns(size_t bag_index) {
@@ -613,9 +604,8 @@ Result<std::optional<Bag>> ConsistencyEngine::SolveGlobalAcyclic(
   std::vector<Bag> next_marginal(steps);
   std::vector<Status> marginal_status(steps, Status::OK());
   auto build_step = [&](size_t i) {
-    Result<Bag> m = edge_bag[rip_order[i]]->Marginal(step_shared[i],
-                                                     ColumnarMinRows(),
-                                                     options_.simd);
+    Result<Bag> m =
+        edge_bag[rip_order[i]]->Marginal(step_shared[i], ColumnarMinRows());
     if (m.ok()) {
       next_marginal[i] = std::move(m).value();
     } else {
@@ -740,10 +730,7 @@ Result<DeltaOutcome> ConsistencyEngine::ApplyDeltaBatch(
         std::vector<std::pair<Tuple, int64_t>>(net.begin(), net.end())));
     // Delta staging materialized flat rows; restore the columnar-only
     // invariant for hot bags before the new generation is published.
-    if (options_.marginal_path != MarginalPath::kRows &&
-        mutated.SupportSize() >= ColumnarMinRows()) {
-      mutated.SealColumnar();
-    }
+    if (mutated.SupportSize() >= ColumnarMinRows()) mutated.SealColumnar();
 
     // Adjust each cached marginal of the bag from the *projected* nets
     // (Equation (2) is linear in multiplicities): a known group's net is

@@ -38,19 +38,6 @@
 
 namespace bagc {
 
-/// Execution path for the engine's sealed marginal builds (cache fills).
-enum class MarginalPath {
-  /// Dispatch per bag on support size (columnar at >= kColumnarMinRows) —
-  /// the default, matching Bag::Marginal.
-  kAuto,
-  /// Force the row path (per-row Tuple projection + sort/merge). The
-  /// differential-benchmark baseline.
-  kRows,
-  /// Force the columnar path: one per-bag ColumnStore shared by every
-  /// projection, grouped via batch-hashed ColumnIndex probes.
-  kColumnar,
-};
-
 /// Tuning for a ConsistencyEngine.
 struct EngineOptions {
   /// Worker threads for sealing and the pairwise sweep; 1 runs inline
@@ -82,20 +69,15 @@ struct EngineOptions {
   /// order to canonicalize to and are rejected); the set is mutated, so
   /// it must not encode rows for bags outside this collection.
   bool canonicalize_dictionaries = false;
-  /// Execution path for sealed marginal builds; verdicts are identical on
-  /// every setting (pinned by the columnar differential leg).
-  MarginalPath marginal_path = MarginalPath::kAuto;
-  /// Row-count crossover for MarginalPath::kAuto — bags at or above it
-  /// fill columnar, below it per-row. Also gates the owned-seal conversion
-  /// to columnar-only storage (the flat row vector is dropped; RowAt
-  /// reconstructs rows on cold paths). 0 means the library default,
-  /// kColumnarMinRows. bagcd exposes it as --columnar-min-rows.
+  /// Row-count crossover for sealed marginal builds (cache fills) — bags
+  /// at or above it fill columnar, below it per-row; verdicts are
+  /// identical on every setting (pinned by the columnar differential
+  /// leg). Also gates the owned-seal conversion to columnar-only storage
+  /// (the flat row vector is dropped; RowAt reconstructs rows on cold
+  /// paths). 0 means the library default, kColumnarMinRows; 1 sends every
+  /// non-empty bag columnar and SIZE_MAX keeps every row-form bag on the
+  /// row path. bagcd exposes it as --columnar-min-rows.
   size_t columnar_min_rows = 0;
-  /// ISA dispatch level for the vectorized kernels (batch row hashing,
-  /// gather-style probe, radix group-by). kAuto resolves to the best
-  /// level the host supports; every level is bit-identical to the scalar
-  /// twin (pinned by simd_kernel_test), so this only moves throughput.
-  simd::SimdLevel simd = simd::SimdLevel::kAuto;
 };
 
 /// Outcome of a pairwise sweep.
@@ -424,11 +406,11 @@ class ConsistencyEngine {
   // bags' slots and column stores from the previous generation.
   Status Seal(const SealReuse* reuse);
   Status EnsureFilled(CachedProjection* slot, size_t bag_index);
-  // True when bag i's cache fills should group columnar under the
-  // configured MarginalPath.
+  // True when bag i's cache fills should group columnar: the bag is
+  // columnar-sealed or at least ColumnarMinRows() rows.
   bool UseColumnar(size_t bag_index) const;
-  // The effective kAuto crossover (options_.columnar_min_rows, or the
-  // library default when unset).
+  // The effective crossover (options_.columnar_min_rows, or the library
+  // default when unset).
   size_t ColumnarMinRows() const;
   // Bag i's ColumnStore, built on first use. NOT thread-safe: parallel
   // seals pre-build every store (one pool task per bag) before the slot

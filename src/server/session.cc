@@ -188,8 +188,8 @@ class BinarySink final : public ServerSession::ResponseSink {
   std::string* out_;
 };
 
-// Empty and all-digit names are reserved: digit tokens address bags
-// (and keep STATS <collection> unambiguous) by index.
+// All-digit names are reserved: digit tokens address bags (and keep
+// STATS <collection> unambiguous) by index.
 bool ReservedName(const std::string& name) {
   bool all_digits = true;
   for (char c : name) all_digits = all_digits && c >= '0' && c <= '9';
@@ -525,6 +525,15 @@ void ServerSession::LoadDict(const WireRequest& request, ResponseSink* sink) {
 
 bool ServerSession::CheckNewBagName(const std::string& name,
                                     ResponseSink* sink) {
+  // Binary ROWS frames and segments carry arbitrary bytes; a name the
+  // text framing cannot tokenize could never be addressed again, and
+  // echoing it would split a response line. (Not echoed here either.)
+  if (!WireRepresentable(name)) {
+    sink->Err(WireError::kParse,
+              "bag name is not representable on the wire (empty, "
+              "whitespace or '#')");
+    return false;
+  }
   if (ReservedName(name)) {
     sink->Err(WireError::kParse,
               "bag name '" + name +

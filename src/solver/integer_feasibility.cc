@@ -10,7 +10,10 @@ namespace bagc {
 namespace {
 
 // Shared DFS driver. Invokes `on_solution` for every complete assignment;
-// stops the whole search when it returns true.
+// stops the whole search when it returns true. The DFS assigns x_0, x_1,
+// ... in order and keeps its path in an explicit stack (one Level per
+// assigned variable), so its depth is bounded by the heap, not by the
+// thread's stack: a P(R1..Rm) with 10^5 variables descends 10^5 levels.
 class Search {
  public:
   Search(const ConsistencyLp& lp, const SolveOptions& options, SolveStats* stats)
@@ -38,23 +41,60 @@ class Search {
 
   Status Run(const std::function<bool(const std::vector<uint64_t>&)>& on_solution) {
     if (TriviallyInfeasible()) return Status::OK();
-    stop_ = false;
-    Status st = Dfs(0, on_solution);
-    return st;
+    const size_t n = lp_.variables.size();
+    std::vector<Level> path;  // path[v] is variable v's level
+    path.reserve(n);
+    // Each turn either opens the next variable (advance) or moves the
+    // deepest open variable to its next value, closing exhausted levels.
+    bool advance = true;
+    while (true) {
+      if (advance) {
+        size_t v = path.size();
+        if (v == n) {
+          // All rows must be exactly satisfied (vars exhausted implies
+          // remaining == 0 everywhere, so residual 0 suffices).
+          bool satisfied = std::all_of(residual_.begin(), residual_.end(),
+                                       [](uint64_t r) { return r == 0; });
+          if (satisfied && on_solution(assignment_)) return Status::OK();
+          advance = false;
+          continue;
+        }
+        std::optional<Level> level = Open(v);
+        if (!level.has_value()) {
+          advance = false;  // pruned: no value of x_v can work
+          continue;
+        }
+        path.push_back(*level);
+        BAGC_RETURN_NOT_OK(Assign(v, level->value));
+        continue;
+      }
+      if (path.empty()) return Status::OK();
+      size_t v = path.size() - 1;
+      Level& top = path.back();
+      Unassign(v);
+      if (top.value == top.last) {
+        path.pop_back();
+        continue;
+      }
+      top.value = options_.descend_values ? top.value - 1 : top.value + 1;
+      BAGC_RETURN_NOT_OK(Assign(v, top.value));
+      advance = true;
+    }
   }
 
  private:
-  Status Dfs(size_t v, const std::function<bool(const std::vector<uint64_t>&)>& on) {
-    if (stop_) return Status::OK();
-    if (v == lp_.variables.size()) {
-      // All rows must be exactly satisfied (vars exhausted implies
-      // remaining == 0 everywhere, so residual 0 suffices).
-      for (uint64_t r : residual_) {
-        if (r != 0) return Status::OK();
-      }
-      if (on(assignment_)) stop_ = true;
-      return Status::OK();
-    }
+  // The values still to try for one variable: `value` (current) through
+  // `last`, stepping down under descend_values and up otherwise. A forced
+  // variable has value == last.
+  struct Level {
+    uint64_t value;
+    uint64_t last;
+  };
+
+  // The value range of x_v given the current residuals, or nullopt when
+  // the node is pruned (two rows force different values, or a forced
+  // value exceeds the bound).
+  std::optional<Level> Open(size_t v) const {
     // Upper bound for x_v: min residual over its rows.
     uint64_t ub = std::numeric_limits<uint64_t>::max();
     for (size_t ri : var_rows_[v]) ub = std::min(ub, residual_[ri]);
@@ -63,47 +103,38 @@ class Search {
     std::optional<uint64_t> forced;
     for (size_t ri : var_rows_[v]) {
       if (remaining_[ri] == 1) {
-        if (forced.has_value() && *forced != residual_[ri]) return Status::OK();
+        if (forced.has_value() && *forced != residual_[ri]) return std::nullopt;
         forced = residual_[ri];
       }
     }
-    if (forced.has_value() && *forced > ub) return Status::OK();
-
-    auto try_value = [&](uint64_t val) -> Status {
-      if (stats_ != nullptr) ++stats_->nodes;
-      if (stats_ != nullptr && stats_->nodes > options_.node_limit) {
-        return Status::ResourceExhausted("search node limit exceeded");
-      }
-      assignment_[v] = val;
-      for (size_t ri : var_rows_[v]) {
-        residual_[ri] -= val;
-        --remaining_[ri];
-      }
-      Status st = Dfs(v + 1, on);
-      for (size_t ri : var_rows_[v]) {
-        residual_[ri] += val;
-        ++remaining_[ri];
-      }
-      assignment_[v] = 0;
-      if (stats_ != nullptr && !st.ok()) ++stats_->backtracks;
-      return st;
-    };
-
     if (forced.has_value()) {
-      return try_value(*forced);
+      if (*forced > ub) return std::nullopt;
+      return Level{*forced, *forced};
     }
-    if (options_.descend_values) {
-      for (uint64_t val = ub;; --val) {
-        BAGC_RETURN_NOT_OK(try_value(val));
-        if (stop_ || val == 0) break;
-      }
-    } else {
-      for (uint64_t val = 0; val <= ub; ++val) {
-        BAGC_RETURN_NOT_OK(try_value(val));
-        if (stop_) break;
-      }
+    return options_.descend_values ? Level{ub, 0} : Level{0, ub};
+  }
+
+  // Counts a search node and assigns x_v = val. Past the node limit the
+  // search unwinds instead, counting one backtrack per open ancestor.
+  Status Assign(size_t v, uint64_t val) {
+    if (++stats_->nodes > options_.node_limit) {
+      stats_->backtracks += v;
+      return Status::ResourceExhausted("search node limit exceeded");
+    }
+    assignment_[v] = val;
+    for (size_t ri : var_rows_[v]) {
+      residual_[ri] -= val;
+      --remaining_[ri];
     }
     return Status::OK();
+  }
+
+  void Unassign(size_t v) {
+    for (size_t ri : var_rows_[v]) {
+      residual_[ri] += assignment_[v];
+      ++remaining_[ri];
+    }
+    assignment_[v] = 0;
   }
 
   const ConsistencyLp& lp_;
@@ -113,7 +144,6 @@ class Search {
   std::vector<uint64_t> residual_;
   std::vector<size_t> remaining_;
   std::vector<uint64_t> assignment_;
-  bool stop_ = false;
 };
 
 }  // namespace

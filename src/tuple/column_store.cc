@@ -34,11 +34,14 @@ int ColumnView::CompareRows(size_t a, const ColumnView& other, size_t b) const {
   return 0;
 }
 
-void ColumnView::HashRows(std::vector<uint64_t>* out,
-                          simd::SimdLevel level) const {
-  out->resize(rows_);
-  simd::HashRowsKernel(columns_.data(), columns_.size(), rows_, out->data(),
-                       level);
+void ColumnView::HashRows(std::vector<uint64_t>* out) const {
+  out->assign(rows_, HashSeed(columns_.size()));
+  uint64_t* h = out->data();
+  for (const ValueId* col : columns_) {
+    for (size_t r = 0; r < rows_; ++r) {
+      HashCombine(&h[r], static_cast<uint64_t>(col[r]));
+    }
+  }
 }
 
 ColumnView ColumnStore::View() const {

@@ -4,7 +4,7 @@
 // flat entry vector; a ColumnView is a zero-copy selection of columns —
 // projecting onto Z ⊆ X is a pointer shuffle, never a per-row Tuple.
 //
-// This is the substrate the vectorized probe path runs on: batch row
+// This is the substrate the columnar probe path runs on: batch row
 // hashing (HashRows) walks each column once with a branch-free inner loop
 // over a contiguous u32 span, so marginal grouping and hash-join matching
 // (ColumnIndex in tuple_index.h) touch memory column-at-a-time instead of
@@ -22,7 +22,6 @@
 
 #include "tuple/schema.h"
 #include "tuple/tuple.h"
-#include "util/simd.h"
 
 namespace bagc {
 
@@ -74,11 +73,8 @@ class ColumnView {
   int CompareRows(size_t a, const ColumnView& other, size_t b) const;
 
   /// Hashes every row into out[r] == RowAt(r).Hash() (same seed/combine
-  /// sequence as HashRange) via the dispatched batch kernel
-  /// (simd::HashRowsKernel); `level` selects the ISA variant, kAuto =
-  /// the process default. Every level is bit-identical.
-  void HashRows(std::vector<uint64_t>* out,
-                simd::SimdLevel level = simd::SimdLevel::kAuto) const;
+  /// sequence as HashRange), one column at a time.
+  void HashRows(std::vector<uint64_t>* out) const;
 
  private:
   std::vector<const ValueId*> columns_;

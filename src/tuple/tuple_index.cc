@@ -69,15 +69,14 @@ const std::vector<uint32_t>* TupleIndex::Find(const Tuple& key) const {
   return &groups_[slots_[slot] - 1].ids;
 }
 
-ColumnIndex::ColumnIndex(ColumnView keys, simd::SimdLevel level)
-    : keys_(std::move(keys)), level_(simd::Resolve(level)) {
+ColumnIndex::ColumnIndex(ColumnView keys) : keys_(std::move(keys)) {
   size_t n = keys_.num_rows();
   // All rows are inserted up front, so size the table once (load < ~0.7)
   // and never rehash.
   slots_.assign(NextPowerOfTwo(n + n / 2 + 1), 0);
   groups_.reserve(n);
   std::vector<uint64_t> hashes;
-  keys_.HashRows(&hashes, level_);
+  keys_.HashRows(&hashes);
   for (size_t r = 0; r < n; ++r) {
     size_t slot = FindSlot(hashes[r], keys_, r);
     if (slots_[slot] == 0) {
@@ -106,43 +105,16 @@ size_t ColumnIndex::FindSlot(uint64_t hash, const ColumnView& view,
   }
 }
 
-uint32_t ColumnIndex::Probe(const ColumnView& probes, size_t row,
-                            uint64_t hash) const {
-  if (slots_.empty()) return kNoGroup;  // default-constructed index
-  size_t slot = FindSlot(hash, probes, row);
-  return slots_[slot] == 0 ? kNoGroup : slots_[slot] - 1;
-}
-
 void ColumnIndex::ProbeAll(const ColumnView& probes,
                            std::vector<uint32_t>* out) const {
   size_t n = probes.num_rows();
   out->assign(n, kNoGroup);
-  if (n == 0) return;
+  if (n == 0 || slots_.empty()) return;  // slots_ empty: default-constructed
   std::vector<uint64_t> hashes;
-  probes.HashRows(&hashes, level_);
-  if (slots_.empty()) return;  // default-constructed index: no groups
-  // Gather indices are i32, so the batched first probe needs a table
-  // capacity <= 2^31; larger tables (would need > 1.4G keys) walk
-  // scalar. Both branches produce identical answers.
-  if (slots_.size() > (size_t{1} << 31)) {
-    for (size_t r = 0; r < n; ++r) (*out)[r] = Probe(probes, r, hashes[r]);
-    return;
-  }
-  // Load every probe's first slot in one batch: an empty slot is a
-  // definitive miss and a matching first slot a definitive hit, so the
-  // scalar walk only runs on genuine collisions.
-  std::vector<uint32_t> tags(n);
-  simd::GatherSlotTags(slots_.data(), slots_.size() - 1, hashes.data(), n,
-                       tags.data(), level_);
+  probes.HashRows(&hashes);
   for (size_t r = 0; r < n; ++r) {
-    uint32_t tag = tags[r];
-    if (tag == 0) continue;  // first slot empty: kNoGroup
-    const ColumnGroup& g = groups_[tag - 1];
-    if (g.hash == hashes[r] && keys_.RowsEqual(g.lead, probes, r)) {
-      (*out)[r] = tag - 1;
-    } else {
-      (*out)[r] = Probe(probes, r, hashes[r]);
-    }
+    size_t slot = FindSlot(hashes[r], probes, r);
+    if (slots_[slot] != 0) (*out)[r] = slots_[slot] - 1;
   }
 }
 

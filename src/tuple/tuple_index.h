@@ -69,7 +69,7 @@ class TupleIndex {
 };
 
 /// \brief Hash grouping over the rows of a borrowed ColumnView, with a
-/// vectorizable batch probe.
+/// batch probe.
 ///
 /// Construction groups every key row (equal rows share a group; groups and
 /// their row lists are in first-appearance order, i.e. ascending row index
@@ -83,11 +83,8 @@ class ColumnIndex {
   static constexpr uint32_t kNoGroup = 0xFFFFFFFFu;
 
   ColumnIndex() = default;
-  /// Builds the grouping over all rows of `keys`. `level` selects the
-  /// SIMD variant of the batch hash and batch probe (kAuto = process
-  /// default); every level produces identical groups and probe answers.
-  explicit ColumnIndex(ColumnView keys,
-                       simd::SimdLevel level = simd::SimdLevel::kAuto);
+  /// Builds the grouping over all rows of `keys`.
+  explicit ColumnIndex(ColumnView keys);
 
   size_t NumGroups() const { return groups_.size(); }
   /// Rows of group g, ascending (== posting list order of TupleIndex).
@@ -99,15 +96,8 @@ class ColumnIndex {
 
   /// For every row of `probes` (same arity as the keys), the matching
   /// group id or kNoGroup. Hashes the whole probe view column-wise, then
-  /// loads every probe's first slot in one batch (simd::GatherSlotTags —
-  /// hardware gather on AVX2) so the common cases (empty slot, or a
-  /// first-slot hit) never enter the scalar walk; only collisions do.
-  /// Bit-identical to per-row Probe at every dispatch level.
+  /// walks the table row by row.
   void ProbeAll(const ColumnView& probes, std::vector<uint32_t>* out) const;
-
-  /// Single-row probe against an external view (same arity); kNoGroup
-  /// when absent. `hash` must be the row's ColumnView/Tuple hash.
-  uint32_t Probe(const ColumnView& probes, size_t row, uint64_t hash) const;
 
  private:
   struct ColumnGroup {
@@ -124,8 +114,6 @@ class ColumnIndex {
   std::vector<ColumnGroup> groups_;
   // Open-addressing table of group index + 1; 0 marks an empty slot.
   std::vector<uint32_t> slots_;
-  // Resolved dispatch level for batch hashing/probing (never kAuto).
-  simd::SimdLevel level_ = simd::SimdLevel::kScalar;
 };
 
 /// \brief Columnar hash-join matching phase, shared by the bag join and
@@ -143,20 +131,18 @@ class ColumnJoinMatch {
   /// select both sides onto the same shared layout.
   template <typename LeftEntries, typename RightEntries>
   ColumnJoinMatch(const LeftEntries& left, const Projector& left_shared,
-                  const RightEntries& right, const Projector& right_shared,
-                  simd::SimdLevel level = simd::SimdLevel::kAuto)
+                  const RightEntries& right, const Projector& right_shared)
       : left_cols_(ColumnStore::FromEntries(left, left_shared)),
         right_cols_(ColumnStore::FromEntries(right, right_shared)),
-        index_(right_cols_.View(), level) {
+        index_(right_cols_.View()) {
     index_.ProbeAll(left_cols_.View(), &match_);
   }
 
   /// Zero-copy variant over already-columnar sides (columnar-sealed
   /// bags): the views borrow their owners' storage, which must outlive
   /// this match object.
-  ColumnJoinMatch(ColumnView left, ColumnView right,
-                  simd::SimdLevel level = simd::SimdLevel::kAuto)
-      : index_(std::move(right), level) {
+  ColumnJoinMatch(ColumnView left, ColumnView right)
+      : index_(std::move(right)) {
     index_.ProbeAll(left, &match_);
   }
 

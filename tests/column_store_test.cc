@@ -1,9 +1,12 @@
 // Regression suite for the SoA refactor: ColumnStore/ColumnView round
-// trips, ColumnIndex grouping + batch probes against the TupleIndex
-// reference, and row-path vs columnar-path marginal equivalence (including
-// Tup(∅), empty projections, and multiplicity-overflow rejection).
+// trips, the batch row hash against Tuple::Hash, ColumnIndex grouping +
+// batch probes against the TupleIndex reference, and row-path vs
+// columnar-path marginal equivalence on both sides of the dense/hashed
+// group-by gate (including Tup(∅), empty projections, side-table ids, and
+// multiplicity-overflow rejection).
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <limits>
 #include <map>
@@ -16,6 +19,7 @@
 #include "hypergraph/families.h"
 #include "tuple/column_store.h"
 #include "tuple/tuple_index.h"
+#include "util/hash.h"
 #include "util/random.h"
 
 namespace bagc {
@@ -67,46 +71,218 @@ TEST(ColumnStoreTest, SelectIsTheProjection) {
   }
 }
 
+// ColumnIndex over `keys` groups and answers `probes` exactly like a
+// TupleIndex over the same rows: same group order, keys and posting
+// lists, same hit or miss per probe row. Returns the number of hits.
+size_t ExpectColumnIndexMatchesTupleIndex(const ColumnStore& keys,
+                                          const ColumnStore& probes) {
+  TupleIndex reference(keys.num_rows());
+  for (size_t r = 0; r < keys.num_rows(); ++r) {
+    reference.Insert(keys.RowAt(r), static_cast<uint32_t>(r));
+  }
+  ColumnIndex index(keys.View());
+  EXPECT_EQ(index.NumGroups(), reference.NumGroups());
+  for (size_t g = 0; g < std::min(index.NumGroups(), reference.NumGroups()); ++g) {
+    EXPECT_EQ(index.keys().RowAt(index.LeadRow(g)), reference.GroupKey(g));
+    EXPECT_EQ(index.GroupRows(g), reference.GroupIds(g));
+  }
+  std::vector<uint32_t> match;
+  index.ProbeAll(probes.View(), &match);
+  EXPECT_EQ(match.size(), probes.num_rows());
+  size_t hits = 0;
+  for (size_t r = 0; r < std::min(match.size(), probes.num_rows()); ++r) {
+    const std::vector<uint32_t>* expected = reference.Find(probes.RowAt(r));
+    if (expected == nullptr) {
+      EXPECT_EQ(match[r], ColumnIndex::kNoGroup);
+    } else if (match[r] == ColumnIndex::kNoGroup) {
+      ADD_FAILURE() << "probe row " << r << " missed a present key";
+    } else {
+      EXPECT_EQ(index.GroupRows(match[r]), *expected);
+      ++hits;
+    }
+  }
+  return hits;
+}
+
 TEST(ColumnStoreTest, ColumnIndexMatchesTupleIndex) {
   Schema x{{0, 1, 2}};
   Schema z{{0, 2}};
   Bag keys = RandomBag(x, 200, 4, 11);
   Bag probes = RandomBag(x, 150, 5, 13);
   Projector proj = *Projector::Make(x, z);
+  ExpectColumnIndexMatchesTupleIndex(
+      ColumnStore::FromEntries(keys.entries(), proj),
+      ColumnStore::FromEntries(probes.entries(), proj));
+}
 
-  // Reference: TupleIndex over per-row projected tuples.
-  TupleIndex reference(keys.SupportSize());
-  for (size_t r = 0; r < keys.SupportSize(); ++r) {
-    reference.Insert(keys.entries()[r].first.Project(proj),
-                     static_cast<uint32_t>(r));
-  }
+ColumnStore RandomStore(Rng* rng, size_t rows, size_t arity, uint32_t limit) {
+  std::vector<ValueId> data(rows * arity);
+  for (ValueId& v : data) v = static_cast<ValueId>(rng->Next() % (limit + 1ull));
+  return ColumnStore::FromColumnMajor(std::move(data), rows, arity);
+}
 
-  ColumnStore key_cols = ColumnStore::FromEntries(keys.entries(), proj);
-  ColumnIndex index(key_cols.View());
-  ASSERT_EQ(index.NumGroups(), reference.NumGroups());
-  for (size_t g = 0; g < index.NumGroups(); ++g) {
-    // Same group order, same keys, same posting lists.
-    EXPECT_EQ(index.keys().RowAt(index.LeadRow(g)), reference.GroupKey(g));
-    EXPECT_EQ(index.GroupRows(g), reference.GroupIds(g));
-  }
-
-  ColumnStore probe_cols = ColumnStore::FromEntries(probes.entries(), proj);
-  std::vector<uint32_t> match;
-  index.ProbeAll(probe_cols.View(), &match);
-  ASSERT_EQ(match.size(), probes.SupportSize());
-  for (size_t r = 0; r < probes.SupportSize(); ++r) {
-    const std::vector<uint32_t>* expected =
-        reference.Find(probes.entries()[r].first.Project(proj));
-    if (expected == nullptr) {
-      EXPECT_EQ(match[r], ColumnIndex::kNoGroup);
-    } else {
-      ASSERT_NE(match[r], ColumnIndex::kNoGroup);
-      EXPECT_EQ(index.GroupRows(match[r]), *expected);
+TEST(ColumnStoreTest, HashRowsIsTupleHash) {
+  // Empty, every size up to one past a block of 8, and a bulk run; random
+  // ids plus all-equal columns of 0, 1 and UINT32_MAX (where a 32/64-bit
+  // truncation would still look plausible).
+  Rng rng(0x51D0001);
+  const size_t sizes[] = {0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 1000};
+  for (size_t arity : {1u, 2u, 3u, 4u}) {
+    for (size_t n : sizes) {
+      std::vector<ColumnStore> stores;
+      stores.push_back(RandomStore(&rng, n, arity, 1u << 20));
+      stores.push_back(RandomStore(&rng, n, arity,
+                                   std::numeric_limits<uint32_t>::max()));
+      for (uint32_t value : {0u, 1u, std::numeric_limits<uint32_t>::max()}) {
+        stores.push_back(ColumnStore::FromColumnMajor(
+            std::vector<ValueId>(n * arity, value), n, arity));
+      }
+      for (const ColumnStore& store : stores) {
+        std::vector<uint64_t> hashes(3, 0xDEAD);  // stale contents
+        store.View().HashRows(&hashes);
+        ASSERT_EQ(hashes.size(), n);
+        for (size_t r = 0; r < n; ++r) {
+          uint64_t expected = HashSeed(arity);
+          for (size_t c = 0; c < arity; ++c) {
+            HashCombine(&expected, store.column(c)[r]);
+          }
+          ASSERT_EQ(hashes[r], expected) << "arity " << arity << " row " << r;
+          ASSERT_EQ(hashes[r], store.RowAt(r).Hash());
+        }
+      }
     }
   }
 }
 
-TEST(ColumnStoreTest, MarginalPathsAgree) {
+TEST(ColumnStoreTest, ColumnIndexMatchesTupleIndexUnderCollisions) {
+  // A small id domain forces dense groups and hash-slot collisions;
+  // probes mix present and absent rows, and an empty probe view and a
+  // default-constructed index answer nothing.
+  Rng rng(0x51D0006);
+  ColumnStore keys = RandomStore(&rng, 500, 2, 12);
+  ColumnStore probes = RandomStore(&rng, 700, 2, 16);
+  size_t hits = ExpectColumnIndexMatchesTupleIndex(keys, probes);
+  EXPECT_GT(hits, 0u);
+  EXPECT_LT(hits, probes.num_rows());
+
+  std::vector<uint32_t> match;
+  ColumnIndex index(keys.View());
+  index.ProbeAll(ColumnStore::FromColumnMajor({}, 0, 2).View(), &match);
+  EXPECT_TRUE(match.empty());
+  ColumnIndex empty;
+  empty.ProbeAll(probes.View(), &match);
+  EXPECT_EQ(match, std::vector<uint32_t>(probes.num_rows(), ColumnIndex::kNoGroup));
+}
+
+// True when GroupColumns takes the dense (radix) path on `view`: arity
+// 1 or 2, every id direct-range, and a packed key range of at most
+// max(4096, 4n). Mirrors the gate so each case below can assert which
+// side it exercises.
+bool DenseGroupBy(const ColumnView& view) {
+  size_t n = view.num_rows();
+  if (n == 0 || view.arity() < 1 || view.arity() > 2) return false;
+  uint64_t table = 1;
+  for (size_t c = 0; c < view.arity(); ++c) {
+    ValueId max = *std::max_element(view.column(c), view.column(c) + n);
+    if (max >= kDirectValueLimit) return false;
+    table *= static_cast<uint64_t>(max) + 1;
+  }
+  return table <= std::max<uint64_t>(4096, 4 * static_cast<uint64_t>(n));
+}
+
+// A row-form bag over `x` whose rows come from `store` (duplicates merge).
+Bag BagFromStore(const Schema& x, const ColumnStore& store, Rng* rng) {
+  BagBuilder builder(x);
+  for (size_t r = 0; r < store.num_rows(); ++r) {
+    EXPECT_TRUE(builder.Add(store.RowAt(r), 1 + rng->Next() % 1000).ok());
+  }
+  return *builder.Build();
+}
+
+TEST(ColumnStoreTest, GroupColumnsMatchesMarginalRowsOnBothSidesOfTheGate) {
+  Rng rng(0x51D0007);
+  const uint32_t kMax = std::numeric_limits<uint32_t>::max();
+  // A bag over X = {0,1,2,3} with n rows; z selects the first `arity`
+  // attributes; limit bounds the ids; dense = the expected gate side.
+  struct Case {
+    const char* name;
+    size_t arity;
+    size_t rows;
+    uint32_t limit;
+    bool dense;
+  };
+  const Case cases[] = {
+      {"arity1-dense", 1, 400, 9, true},
+      {"arity1-sparse", 1, 400, 1u << 24, false},
+      {"arity2-dense", 2, 600, 15, true},
+      {"arity2-sparse", 2, 600, 1u << 20, false},
+      {"arity2-single-group", 2, 64, 0, true},
+      {"arity3", 3, 600, 3, false},
+      {"arity1-side-table-ids", 1, 300, kMax, false},
+      {"arity2-side-table-ids", 2, 300, kMax, false},
+  };
+  Schema x{{0, 1, 2, 3}};
+  for (const Case& c : cases) {
+    ColumnStore store = RandomStore(&rng, c.rows, x.arity(), c.limit);
+    Bag bag = BagFromStore(x, store, &rng);
+    std::vector<AttrId> attrs;
+    for (size_t i = 0; i < c.arity; ++i) attrs.push_back(static_cast<AttrId>(i));
+    Schema z{attrs};
+    Projector proj = *Projector::Make(x, z);
+    ColumnStore cols = bag.ToColumns();
+    ColumnView projected = cols.View().Select(proj);
+    ASSERT_EQ(DenseGroupBy(projected), c.dense) << c.name;
+    Bag grouped = *Bag::GroupColumns(z, projected, bag.entries());
+    EXPECT_EQ(grouped, *bag.MarginalRows(z)) << c.name;
+    EXPECT_TRUE(grouped.columnar_sealed()) << c.name;
+  }
+}
+
+TEST(ColumnStoreTest, GroupColumnsDensityCapBoundary) {
+  // Arity 1 with n rows: a key range of exactly max(4096, 4n) groups
+  // dense, one more id hashes. Both sides equal the row-path marginal.
+  Rng rng(0x51D0008);
+  for (size_t n : {100u, 2000u}) {
+    uint64_t cap = std::max<uint64_t>(4096, 4 * n);
+    for (uint64_t top : {cap - 1, cap}) {
+      std::vector<ValueId> ids(n);
+      for (ValueId& v : ids) v = static_cast<ValueId>(rng.Next() % top);
+      ids[n / 2] = static_cast<ValueId>(top);  // pins the column max
+      ColumnStore store = ColumnStore::FromColumnMajor(std::move(ids), n, 1);
+      Schema z{{0}};
+      std::vector<uint64_t> mults(n);
+      for (uint64_t& m : mults) m = 1 + rng.Next() % 1000;
+      ASSERT_EQ(DenseGroupBy(store.View()), top + 1 <= cap);
+      Bag grouped = *Bag::GroupColumns(z, store.View(), mults.data(), n);
+      BagBuilder builder(z);
+      for (size_t r = 0; r < n; ++r) {
+        ASSERT_TRUE(builder.Add(store.RowAt(r), mults[r]).ok());
+      }
+      EXPECT_EQ(grouped, *builder.Build()) << "n " << n << " top " << top;
+    }
+  }
+}
+
+TEST(ColumnStoreTest, GroupColumnsOverflowBoundaryOnBothPaths) {
+  // Two equal rows summing to exactly UINT64_MAX group fine; one more
+  // unit overflows. Dense (id 3) and hashed (side-table id) keys must
+  // agree on both sides of that boundary.
+  const uint64_t kMax = std::numeric_limits<uint64_t>::max();
+  Schema z{{0}};
+  for (ValueId id : {ValueId{3}, EncodeValue(-7)}) {
+    ColumnStore store = ColumnStore::FromColumnMajor({id, id}, 2, 1);
+    ASSERT_EQ(DenseGroupBy(store.View()), id == 3);
+    std::vector<uint64_t> fits = {kMax - 2, 2};
+    Result<Bag> ok = Bag::GroupColumns(z, store.View(), fits.data(), 2);
+    ASSERT_TRUE(ok.ok()) << ok.status().ToString();
+    EXPECT_EQ(ok->MultiplicityAt(0), kMax);
+    std::vector<uint64_t> over = {kMax - 2, 3};
+    Result<Bag> bad = Bag::GroupColumns(z, store.View(), over.data(), 2);
+    EXPECT_FALSE(bad.ok());
+  }
+}
+
+TEST(ColumnStoreTest, RowAndColumnarMarginalsAgree) {
   // Sizes straddling kColumnarMinRows so both dispatch arms are hit, and
   // both forced paths are pinned against each other on every size.
   Schema x{{0, 1, 2}};
@@ -191,8 +367,12 @@ TEST(ColumnStoreTest, KRelationColumnarMarginalMatchesBag) {
   }
 }
 
-TEST(ColumnStoreTest, EngineMarginalPathsProduceIdenticalVerdicts) {
-  // Row-forced and columnar-forced engines agree query-for-query.
+TEST(ColumnStoreTest, EngineRowAndColumnarFillsProduceIdenticalVerdicts) {
+  // Row-path and columnar-path engines agree query-for-query. The
+  // generator's bags come back columnar-sealed, which always groups
+  // columnar, so both engines get row-form copies: columnar_min_rows =
+  // SIZE_MAX then keeps every fill on the row path and 1 sends every
+  // non-empty bag columnar.
   for (uint64_t seed = 0; seed < 10; ++seed) {
     Rng rng(500 + seed);
     BagGenOptions options;
@@ -212,10 +392,17 @@ TEST(ColumnStoreTest, EngineMarginalPathsProduceIdenticalVerdicts) {
       }
       c = *BagCollection::Make(std::move(bags));
     }
+    std::vector<Bag> row_form = c.bags();
+    for (Bag& b : row_form) {
+      if (!b.IsEmpty()) ASSERT_TRUE(b.Set(b.RowAt(0), b.MultiplicityAt(0)).ok());
+      ASSERT_FALSE(b.columnar_sealed());
+    }
+    c = *BagCollection::Make(std::move(row_form));
+    size_t compared = 0;
     EngineOptions rows_opt;
-    rows_opt.marginal_path = MarginalPath::kRows;
+    rows_opt.columnar_min_rows = std::numeric_limits<size_t>::max();
     EngineOptions cols_opt;
-    cols_opt.marginal_path = MarginalPath::kColumnar;
+    cols_opt.columnar_min_rows = 1;
     ConsistencyEngine rows_engine = *ConsistencyEngine::Make(c, rows_opt);
     ConsistencyEngine cols_engine = *ConsistencyEngine::Make(c, cols_opt);
     PairwiseVerdict vr = *rows_engine.PairwiseAll();
@@ -226,8 +413,20 @@ TEST(ColumnStoreTest, EngineMarginalPathsProduceIdenticalVerdicts) {
     for (size_t i = 0; i < c.size(); ++i) {
       for (size_t j = i + 1; j < c.size(); ++j) {
         EXPECT_EQ(*rows_engine.TwoBag(i, j), *cols_engine.TwoBag(i, j));
+        // The two legs really ran different paths.
+        Schema z = Schema::Intersect(c.bag(i).schema(), c.bag(j).schema());
+        const Bag* rows_marginal = rows_engine.CachedMarginal(i, z);
+        const Bag* cols_marginal = cols_engine.CachedMarginal(i, z);
+        if (rows_marginal != nullptr && !rows_marginal->IsEmpty()) {
+          EXPECT_FALSE(rows_marginal->columnar_sealed());
+          ASSERT_NE(cols_marginal, nullptr);
+          EXPECT_TRUE(cols_marginal->columnar_sealed());
+          EXPECT_EQ(*rows_marginal, *cols_marginal);
+          ++compared;
+        }
       }
     }
+    EXPECT_GT(compared, 0u);
   }
 }
 

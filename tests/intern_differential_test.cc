@@ -197,7 +197,7 @@ TEST(InternDifferentialTest, MatchesStringOracleOn200Collections) {
     // witness multiplicities must be bit-identical to the row path.
     EngineOptions columnar_opts;
     columnar_opts.dictionaries = dicts;
-    columnar_opts.marginal_path = MarginalPath::kColumnar;
+    columnar_opts.columnar_min_rows = 1;
     ConsistencyEngine columnar_engine =
         *ConsistencyEngine::Make(interned, columnar_opts);
 

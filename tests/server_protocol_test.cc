@@ -22,6 +22,7 @@
 #include "server/engine_snapshot.h"
 #include "server/protocol.h"
 #include "server/session.h"
+#include "tuple/segment.h"
 
 #ifndef BAGC_REPO_ROOT
 #define BAGC_REPO_ROOT "."
@@ -646,6 +647,61 @@ TEST(ServerSessionTest, MutateFramesMirrorTheTextGrammar) {
   ASSERT_EQ(frames.size(), 1u);
   EXPECT_EQ(frames[0].first, kFrameErr);
   EXPECT_NE(frames[0].second.find("INSERT"), std::string::npos);
+}
+
+TEST(ServerSessionTest, BagNamesTheTextFramingCannotCarryAreRefused) {
+  // A binary ROWS frame and a LOADSEG segment both carry bag names as
+  // raw bytes. A name with whitespace, a newline or '#' could never be
+  // addressed by a text query, and echoing it would split a response
+  // line, so both paths refuse it with E_PARSE and load nothing.
+  const std::vector<std::string> bad = {"a b", "x\nOK", "tab\there", "h#sh"};
+  CollectionRegistry registry;
+  ServerSession session(&registry, nullptr);
+  Feed(&session, "DICT item 2\napple\nbanana\nEND\n");
+  std::string raw;
+  session.HandleData("UPGRADE BINARY\n", &raw);
+  ASSERT_TRUE(session.binary_mode());
+  for (const std::string& name : bad) {
+    raw.clear();
+    session.HandleData(
+        Frame(kFrameRows, RowsPayload(name, {"item"}, {{{0}, 1}, {{1}, 2}})),
+        &raw);
+    auto frames = ReadFrames(raw);
+    ASSERT_EQ(frames.size(), 1u) << name;
+    EXPECT_EQ(frames[0].first, kFrameErr) << name;
+    EXPECT_EQ(frames[0].second[0],
+              static_cast<char>(WireErrorTag(WireError::kParse)));
+    EXPECT_EQ(frames[0].second.find('\n'), std::string::npos);
+  }
+  raw.clear();
+  session.HandleData(Frame(kFrameRows, RowsPayload("ok", {"item"}, {{{0}, 1}})),
+                     &raw);
+  auto frames = ReadFrames(raw);
+  ASSERT_EQ(frames.size(), 1u);
+  EXPECT_EQ(frames[0].first, kFrameOk);
+  EXPECT_EQ(frames[0].second, "LOADU32 ok 1 rows");
+
+  // LOADSEG: a segment whose second bag has an unrepresentable name is
+  // refused whole; the first bag is not loaded either.
+  for (const std::string& name : bad) {
+    AttributeCatalog catalog;
+    DictionarySet dicts;
+    Result<std::vector<Bag>> bags = ParseCollection(
+        "bag item store\napple downtown : 2\nend\n"
+        "bag store region\ndowntown north : 2\nend\n",
+        &catalog, &dicts);
+    ASSERT_TRUE(bags.ok()) << bags.status().ToString();
+    std::string path = testing::TempDir() + "bad_bag_name.seg";
+    ASSERT_TRUE(
+        WriteSegmentFile(path, {"left", name}, *bags, catalog, dicts).ok());
+    CollectionRegistry seg_registry;
+    ServerSession seg_session(&seg_registry, nullptr);
+    std::vector<std::string> out =
+        seg_session.HandleScript("LOADSEG " + path + "\nDROP left\n");
+    ASSERT_EQ(out.size(), 2u);
+    EXPECT_EQ(out[0].rfind("ERR E_PARSE", 0), 0u) << out[0];
+    EXPECT_EQ(out[1].rfind("ERR E_STATE", 0), 0u) << out[1];
+  }
 }
 
 TEST(ServerSessionTest, BinaryModeRules) {

@@ -1,9 +1,12 @@
 // Unit tests for the LP builder, the exact integer-feasibility solver, and
 // the rational closed-form solution of Lemma 2.
 #include <gtest/gtest.h>
+#include <pthread.h>
 
 #include "bag/bag.h"
+#include "core/collection.h"
 #include "generators/workloads.h"
+#include "hypergraph/families.h"
 #include "solver/integer_feasibility.h"
 #include "solver/lp.h"
 #include "solver/rational_witness.h"
@@ -141,6 +144,149 @@ TEST(IntegerFeasibilityTest, CountLimitReported) {
   auto result = CountIntegerSolutions(lp, 1);
   EXPECT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kResourceExhausted);
+}
+
+// SolveStats are part of the search's contract: the node count and the
+// value order decide which witness is found first. These figures pin the
+// search on the instances above and on 4-cycles (with and without a
+// perturbed multiplicity) that hit the node limit deep in the tree.
+TEST(IntegerFeasibilityTest, SearchStatsArePinned) {
+  auto stats_of = [](const SolveStats& s) {
+    return std::make_pair(s.nodes, s.backtracks);
+  };
+  using Pair = std::pair<uint64_t, uint64_t>;
+  ConsistencyLp example = *BuildConsistencyLp(TwoBagExample());
+  SolveOptions ascending;
+  ascending.descend_values = false;
+  SolveStats solve, count, enumerate, solve_asc, count_asc, count_limit;
+  EXPECT_EQ(**SolveIntegerFeasibility(example, {}, &solve),
+            (std::vector<uint64_t>{1, 0, 0, 1}));
+  EXPECT_EQ(**SolveIntegerFeasibility(example, ascending, &solve_asc),
+            (std::vector<uint64_t>{0, 1, 1, 0}));
+  EXPECT_EQ(*CountIntegerSolutions(example, 1u << 24, {}, &count), 2u);
+  EXPECT_EQ(*CountIntegerSolutions(example, 1u << 20, ascending, &count_asc), 2u);
+  EXPECT_EQ(EnumerateIntegerSolutions(example, 1u << 20, {}, &enumerate)->size(), 2u);
+  EXPECT_FALSE(CountIntegerSolutions(example, 1, {}, &count_limit).ok());
+  EXPECT_EQ(stats_of(solve), Pair(4, 0));
+  EXPECT_EQ(stats_of(solve_asc), Pair(4, 0));
+  EXPECT_EQ(stats_of(count), Pair(8, 0));
+  EXPECT_EQ(stats_of(count_asc), Pair(8, 0));
+  EXPECT_EQ(stats_of(enumerate), Pair(8, 0));
+  EXPECT_EQ(stats_of(count_limit), Pair(4, 0));
+
+  // NodeLimitReported's instance: a limit counts one node past itself and
+  // one backtrack per open ancestor of the refused node.
+  Rng rng(3);
+  BagGenOptions options;
+  options.support_size = 64;
+  options.domain_size = 8;
+  auto [r, s] = *MakeConsistentPair(Schema{{0, 1}}, Schema{{1, 2}}, options, &rng);
+  ConsistencyLp pair = *BuildConsistencyLp({r, s});
+  for (auto [limit, expected] : {std::make_pair(uint64_t{3}, Pair(4, 3)),
+                                 std::make_pair(uint64_t{100}, Pair(101, 100)),
+                                 std::make_pair(uint64_t{1000}, Pair(236, 0))}) {
+    SolveOptions limited;
+    limited.node_limit = limit;
+    SolveStats stats;
+    Result<std::optional<std::vector<uint64_t>>> result =
+        SolveIntegerFeasibility(pair, limited, &stats);
+    EXPECT_EQ(result.ok(), limit == 1000) << limit;
+    EXPECT_EQ(stats_of(stats), expected) << limit;
+  }
+
+  // SolutionSatisfiesAllRows' 20 trials, summed.
+  Rng trials(11);
+  options.support_size = 10;
+  options.domain_size = 3;
+  SolveStats total;
+  for (int trial = 0; trial < 20; ++trial) {
+    auto [tr, ts] = *MakeConsistentPair(Schema{{0, 1}}, Schema{{1, 2}}, options, &trials);
+    ASSERT_TRUE(SolveIntegerFeasibility(*BuildConsistencyLp({tr, ts}), {}, &total)->has_value());
+  }
+  EXPECT_EQ(stats_of(total), Pair(286, 0));
+
+  // Consistent 4-cycles, and the same with two multiplicities bumped.
+  struct Square {
+    uint64_t seed;
+    bool perturbed;
+    Pair stats;
+    bool found;
+  };
+  const Square squares[] = {{7, false, {20001, 130}, false},
+                            {7, true, {20001, 42}, false},
+                            {8, false, {213, 0}, true},
+                            {8, true, {20001, 53}, false}};
+  for (const Square& sq : squares) {
+    Rng square_rng(sq.seed);
+    BagGenOptions gen;
+    gen.support_size = 40;
+    gen.domain_size = 4;
+    gen.max_multiplicity = 4;
+    BagCollection c =
+        *MakeGloballyConsistentCollection(*MakeCycle(4), gen, &square_rng);
+    std::vector<Bag> bags = c.bags();
+    if (sq.perturbed) {
+      for (size_t b : {0u, 2u}) {
+        ASSERT_TRUE(bags[b].Set(bags[b].RowAt(1), bags[b].MultiplicityAt(1) + 1).ok());
+      }
+    }
+    SolveOptions limited;
+    limited.node_limit = 20000;
+    SolveStats stats;
+    Result<std::optional<std::vector<uint64_t>>> result =
+        SolveIntegerFeasibility(*BuildConsistencyLp(bags), limited, &stats);
+    EXPECT_EQ(result.ok() && result->has_value(), sq.found) << sq.seed;
+    EXPECT_EQ(stats_of(stats), sq.stats) << sq.seed << " " << sq.perturbed;
+  }
+}
+
+// x_0 = 1 and x_{i-1} + x_i = 1 for i >= 1: every variable is forced by
+// the row it closes, so the search descends once through all of them.
+ConsistencyLp ForcedChain(size_t n) {
+  ConsistencyLp lp;
+  lp.variables.resize(n);
+  lp.rows.resize(n);
+  lp.rows[0].rhs = 1;
+  lp.rows[0].vars = {0};
+  for (size_t i = 1; i < n; ++i) {
+    lp.rows[i].rhs = 1;
+    lp.rows[i].vars = {static_cast<uint32_t>(i - 1), static_cast<uint32_t>(i)};
+  }
+  return lp;
+}
+
+TEST(IntegerFeasibilityTest, DeepSearchRunsOnASmallStack) {
+  // 10^5 search levels on a 1 MB thread stack: a recursive DFS needs a
+  // frame per level and overflows long before the bottom.
+  constexpr size_t kVars = 100000;
+  struct Job {
+    ConsistencyLp lp = ForcedChain(kVars);
+    SolveStats stats;
+    Result<std::optional<std::vector<uint64_t>>> result =
+        Status::Internal("not run");
+  } job;
+  pthread_attr_t attr;
+  ASSERT_EQ(pthread_attr_init(&attr), 0);
+  ASSERT_EQ(pthread_attr_setstacksize(&attr, size_t{1} << 20), 0);
+  pthread_t thread;
+  ASSERT_EQ(pthread_create(
+                &thread, &attr,
+                [](void* arg) -> void* {
+                  Job* j = static_cast<Job*>(arg);
+                  j->result = SolveIntegerFeasibility(j->lp, {}, &j->stats);
+                  return nullptr;
+                },
+                &job),
+            0);
+  ASSERT_EQ(pthread_join(thread, nullptr), 0);
+  pthread_attr_destroy(&attr);
+  ASSERT_TRUE(job.result.ok()) << job.result.status().ToString();
+  ASSERT_TRUE(job.result->has_value());
+  const std::vector<uint64_t>& x = **job.result;
+  ASSERT_EQ(x.size(), kVars);
+  for (size_t i = 0; i < kVars; ++i) ASSERT_EQ(x[i], i % 2 == 0 ? 1u : 0u) << i;
+  EXPECT_EQ(job.stats.nodes, kVars);
+  EXPECT_EQ(job.stats.backtracks, 0u);
 }
 
 TEST(RationalWitnessTest, ClosedFormSolvesConsistentPairs) {

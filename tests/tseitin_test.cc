@@ -12,6 +12,8 @@
 #include "core/tseitin.h"
 #include "hypergraph/acyclicity.h"
 #include "hypergraph/families.h"
+#include "solver/integer_feasibility.h"
+#include "solver/lp.h"
 #include "util/random.h"
 
 namespace bagc {
@@ -67,6 +69,23 @@ TEST_P(TseitinHnTest, PairwiseConsistentButNotGlobal) {
 }
 
 INSTANTIATE_TEST_SUITE_P(HnSweep, TseitinHnTest, ::testing::Values(3, 4, 5));
+
+TEST(TseitinTest, ExactSearchStatsArePinned) {
+  // P(R1..Rm) of every C(Cn) and C(Hn) above has an empty join: the
+  // parity classes never agree on all shared attributes, so the search
+  // refuses at the root without a node.
+  std::vector<Hypergraph> schemas;
+  for (size_t n : {3, 4, 5, 6, 7, 8}) schemas.push_back(*MakeCycle(n));
+  for (size_t n : {3, 4, 5}) schemas.push_back(*MakeHn(n));
+  for (const Hypergraph& h : schemas) {
+    ConsistencyLp lp = *BuildConsistencyLp(*MakeTseitinCollection(h));
+    SolveStats stats;
+    EXPECT_FALSE(SolveIntegerFeasibility(lp, {}, &stats)->has_value());
+    EXPECT_TRUE(lp.variables.empty());
+    EXPECT_EQ(stats.nodes, 0u);
+    EXPECT_EQ(stats.backtracks, 0u);
+  }
+}
 
 class TseitinHierarchyTest : public ::testing::TestWithParam<size_t> {};
 
